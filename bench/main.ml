@@ -36,6 +36,7 @@ module Domain_pool = Mf_util.Domain_pool
 module Pool = Mfdft.Pool
 module Pso = Mf_pso.Pso
 module Rng = Mf_util.Rng
+module Json = Mf_util.Json
 
 (* parallelism of the codesign runs: MFDFT_JOBS if set, else serial (the
    published numbers in EXPERIMENTS.md are wall-clock comparable that way;
@@ -44,6 +45,13 @@ let jobs = if Sys.getenv_opt "MFDFT_JOBS" = None then 1 else Domain_pool.default
 
 let chips = [ "ivd_chip"; "ra30_chip"; "mrna_chip" ]
 let assays = [ "ivd"; "pid"; "cpa" ]
+
+(* field values of a gated scenario's baseline entries; walls are kept to
+   the microsecond *)
+let count n = Json.Num (float_of_int n)
+let ms x = Json.Num (Float.round (x *. 1e3) /. 1e3)
+let opt_count = function Some m -> count m | None -> count (-1)
+let entry name fields = { Mf_bench.name; fields }
 
 let pp_opt ppf = function
   | Some v -> Fmt.pf ppf "%5d" v
@@ -455,92 +463,62 @@ let verify_bench () =
    counters from the process-wide solver telemetry, machine-readable
    output gated against the committed BENCH_ilp.json baseline. *)
 
-let perf_measure () =
-  let params = Codesign.quick_params in
-  List.map
-    (fun chip_name ->
-      let chip = Option.get (Benchmarks.by_name chip_name) in
-      Mf_lp.Simplex.Stats.reset ();
-      Mf_ilp.Ilp.Stats.reset ();
-      let rng = Rng.create ~seed:params.Codesign.seed in
-      let t0 = Unix.gettimeofday () in
-      let pool =
-        Domain_pool.with_pool ~jobs (fun domains ->
-            Pool.build ~size:params.Codesign.pool_size
-              ~node_limit:params.Codesign.ilp_node_limit ~domains ~rng chip)
-      in
-      let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      let objectives =
-        match pool with
-        | Error _ -> []
-        | Ok pool -> Array.to_list (Pool.attempt_objectives pool)
-      in
-      {
-        Perf_json.chip = chip_name;
-        wall_ms;
-        pivots = Mf_lp.Simplex.Stats.pivots ();
-        dual_pivots = Atomic.get Mf_lp.Simplex.Stats.dual_pivots;
-        nodes = Atomic.get Mf_ilp.Ilp.Stats.nodes;
-        warm_eligible = Atomic.get Mf_ilp.Ilp.Stats.warm_eligible;
-        warm_taken = Atomic.get Mf_ilp.Ilp.Stats.warm_taken;
-        cache_hits = Atomic.get Mf_ilp.Ilp.Stats.cache_hits;
-        phase1_solves = Atomic.get Mf_lp.Simplex.Stats.phase1_solves;
-        presolve_fixed = Atomic.get Mf_ilp.Ilp.Stats.presolve_fixed;
-        cover_cuts = Atomic.get Mf_ilp.Ilp.Stats.cover_cuts;
-        objectives;
-      })
-    chips
-
-let baseline_path = "BENCH_ilp.json"
-
 let perf ~write_baseline () =
   Format.printf "@.== Perf: LP core on the pool-build matrix (pools are per-chip; each@.";
   Format.printf "   feeds all of ivd/pid/cpa) — %d job%s ==@.@." jobs (if jobs = 1 then "" else "s");
-  let entries = perf_measure () in
   Format.printf "%-12s %10s %10s %8s %7s %7s %7s %7s@." "chip" "wall[ms]" "pivots" "dual"
     "nodes" "warm%" "cache" "phase1";
-  List.iter
-    (fun (e : Perf_json.entry) ->
-      Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d %7d@." e.Perf_json.chip
-        e.Perf_json.wall_ms e.Perf_json.pivots e.Perf_json.dual_pivots e.Perf_json.nodes
-        (if e.Perf_json.warm_eligible = 0 then 0.
-         else
-           100. *. float_of_int e.Perf_json.warm_taken
-           /. float_of_int e.Perf_json.warm_eligible)
-        e.Perf_json.cache_hits e.Perf_json.phase1_solves)
-    entries;
-  let doc = { Perf_json.jobs; cores = Perf_json.this_cores (); entries } in
-  if write_baseline then begin
-    Perf_json.save baseline_path doc;
-    Format.printf "@.baseline written to %s@." baseline_path
-  end
-  else begin
-    match Perf_json.load baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- perf-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let sum f = List.fold_left (fun acc e -> acc + f e) 0 in
-      let sumf f = List.fold_left (fun acc e -> acc +. f e) 0. in
-      let b_pivots = sum (fun (e : Perf_json.entry) -> e.Perf_json.pivots) baseline.Perf_json.entries in
-      let c_pivots = sum (fun (e : Perf_json.entry) -> e.Perf_json.pivots) entries in
-      let b_wall = sumf (fun (e : Perf_json.entry) -> e.Perf_json.wall_ms) baseline.Perf_json.entries in
-      let c_wall = sumf (fun (e : Perf_json.entry) -> e.Perf_json.wall_ms) entries in
-      Format.printf "@.vs baseline (%s): pivots %d -> %d (%.2fx), wall %.0f ms -> %.0f ms (%.2fx)@."
-        baseline_path b_pivots c_pivots
-        (float_of_int b_pivots /. float_of_int (max 1 c_pivots))
-        b_wall c_wall
-        (b_wall /. max 1. c_wall);
-      let failures, notes = Perf_json.compare_against ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] -> Format.printf "perf gate: PASS (within %.0f%% of baseline, objectives no worse)@."
-                 ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "perf gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  let params = Codesign.quick_params in
+  let entries =
+    List.map
+      (fun chip_name ->
+        let chip = Option.get (Benchmarks.by_name chip_name) in
+        Mf_lp.Simplex.Stats.reset ();
+        Mf_ilp.Ilp.Stats.reset ();
+        let rng = Rng.create ~seed:params.Codesign.seed in
+        let t0 = Unix.gettimeofday () in
+        let pool =
+          Domain_pool.with_pool ~jobs (fun domains ->
+              Pool.build ~size:params.Codesign.pool_size
+                ~node_limit:params.Codesign.ilp_node_limit ~domains ~rng chip)
+        in
+        let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let objectives =
+          match pool with
+          | Error _ -> []
+          | Ok pool -> Array.to_list (Pool.attempt_objectives pool)
+        in
+        let pivots = Mf_lp.Simplex.Stats.pivots () in
+        let get = Atomic.get in
+        let dual = get Mf_lp.Simplex.Stats.dual_pivots
+        and nodes = get Mf_ilp.Ilp.Stats.nodes
+        and eligible = get Mf_ilp.Ilp.Stats.warm_eligible
+        and taken = get Mf_ilp.Ilp.Stats.warm_taken
+        and cache = get Mf_ilp.Ilp.Stats.cache_hits
+        and phase1 = get Mf_lp.Simplex.Stats.phase1_solves in
+        Format.printf "%-12s %10.0f %10d %8d %7d %6.1f%% %7d %7d@." chip_name wall_ms pivots dual
+          nodes
+          (if eligible = 0 then 0. else 100. *. float_of_int taken /. float_of_int eligible)
+          cache phase1;
+        entry chip_name
+          [
+            ("wall_ms", ms wall_ms);
+            ("pivots", count pivots);
+            ("dual_pivots", count dual);
+            ("nodes", count nodes);
+            ("warm_eligible", count eligible);
+            ("warm_taken", count taken);
+            ("cache_hits", count cache);
+            ("phase1_solves", count phase1);
+            ("presolve_fixed", count (get Mf_ilp.Ilp.Stats.presolve_fixed));
+            ("cover_cuts", count (get Mf_ilp.Ilp.Stats.cover_cuts));
+            ( "objectives",
+              Json.Arr
+                (List.map (function None -> Json.Null | Some o -> Json.Num o) objectives) );
+          ])
+      chips
+  in
+  Mf_bench.gate Mf_bench.ilp ~jobs ~write_baseline entries
 
 (* ------------------------------------------------------------------ *)
 (* Parallel branch-and-bound: jobs sweep over the path-synthesis ILP on
@@ -697,8 +675,6 @@ let ilp_sweep () =
 
 module Scheduler = Mf_sched.Scheduler
 
-let sched_baseline_path = "BENCH_sched.json"
-
 let sched ~write_baseline () =
   Format.printf "@.== Sched: scheduler fast path vs reference, and bounded codesign fitness ==@.@.";
   let entries = ref [] in
@@ -742,13 +718,13 @@ let sched ~write_baseline () =
             (match fast_m with Some m -> string_of_int m | None -> "-")
             fast_ms ref_ms (ref_ms /. fast_ms) steps routes;
           entries :=
-            {
-              Perf_json.s_name = chip_name ^ "/" ^ assay;
-              s_wall_ms = fast_ms;
-              s_makespan = (match fast_m with Some m -> m | None -> -1);
-              s_steps = steps;
-              s_routes = routes;
-            }
+            entry (chip_name ^ "/" ^ assay)
+              [
+                ("wall_ms", ms fast_ms);
+                ("makespan", opt_count fast_m);
+                ("steps", count steps);
+                ("routes", count routes);
+              ]
             :: !entries)
         assays)
     chips;
@@ -802,47 +778,18 @@ let sched ~write_baseline () =
         if not identical then
           hard_failures := "codesign results differ between cutoff on and off" :: !hard_failures;
         entries :=
-          {
-            Perf_json.s_name = "codesign:ivd_chip/cpa";
-            s_wall_ms = wall_on;
-            s_makespan = (match on.Codesign.exec_final with Some m -> m | None -> -1);
-            s_steps = steps_on;
-            s_routes = routes_on;
-          }
+          entry "codesign:ivd_chip/cpa"
+            [
+              ("wall_ms", ms wall_on);
+              ("makespan", opt_count on.Codesign.exec_final);
+              ("steps", count steps_on);
+              ("routes", count routes_on);
+            ]
           :: !entries
       | (Error f, _ | _, Error f) ->
         hard_failures := ("codesign failed: " ^ Mf_util.Fail.to_string f) :: !hard_failures));
-  let doc =
-    { Perf_json.s_jobs = jobs; s_cores = Perf_json.this_cores (); s_entries = List.rev !entries }
-  in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.sched gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_sched sched_baseline_path doc;
-    Format.printf "@.baseline written to %s@." sched_baseline_path
-  end
-  else begin
-    match Perf_json.load_sched sched_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- sched-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_sched ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "sched gate: PASS (within %.0f%% of baseline wall, makespans/objectives exact)@."
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "sched gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Mf_bench.gate Mf_bench.sched ~checks:(List.rev !hard_failures) ~jobs ~write_baseline
+    (List.rev !entries)
 
 (* ------------------------------------------------------------------ *)
 (* Family scaling sweep: makespan simulation and ILP path synthesis wall
@@ -854,8 +801,6 @@ let sched ~write_baseline () =
 
 module Families = Mf_chips.Families
 module Synth_assay = Mf_bioassay.Synth_assay
-
-let scale_baseline_path = "BENCH_scale.json"
 
 let scale_point (f : Families.family) size =
   let salt =
@@ -894,16 +839,20 @@ let scale_point (f : Families.family) size =
       (Mf_grid.Grid.graph (Chip.grid chip));
     !n
   in
-  {
-    Perf_json.c_name = Printf.sprintf "%s/%d" f.Families.name size;
-    c_channels = count_channels chip;
-    c_valves = Chip.n_valves chip;
-    c_sched_ms = sched_ms;
-    c_makespan = (match makespan with Some m -> m | None -> -1);
-    c_ilp_ms = ilp_ms;
-    c_added = added;
-    c_paths = paths;
-  }
+  let name = Printf.sprintf "%s/%d" f.Families.name size in
+  let channels = count_channels chip and valves = Chip.n_valves chip in
+  Format.printf "%-12s %9d %8d %10.2f %10d %10.0f %7d %7d@." name channels valves sched_ms
+    (Option.value ~default:(-1) makespan) ilp_ms added paths;
+  entry name
+    [
+      ("channels", count channels);
+      ("valves", count valves);
+      ("sched_ms", ms sched_ms);
+      ("makespan", opt_count makespan);
+      ("ilp_ms", ms ilp_ms);
+      ("added", count added);
+      ("paths", count paths);
+    ]
 
 let scale ~write_baseline () =
   Format.printf "@.== Scale: makespan / ILP wall clock vs chip size, per family ==@.@.";
@@ -911,42 +860,10 @@ let scale ~write_baseline () =
     "sched[ms]" "makespan" "ilp[ms]" "added" "paths";
   let entries =
     List.concat_map
-      (fun (f : Families.family) ->
-        List.map
-          (fun size ->
-            let e = scale_point f size in
-            Format.printf "%-12s %9d %8d %10.2f %10d %10.0f %7d %7d@." e.Perf_json.c_name
-              e.Perf_json.c_channels e.Perf_json.c_valves e.Perf_json.c_sched_ms
-              e.Perf_json.c_makespan e.Perf_json.c_ilp_ms e.Perf_json.c_added
-              e.Perf_json.c_paths;
-            e)
-          f.Families.sweep_sizes)
+      (fun (f : Families.family) -> List.map (scale_point f) f.Families.sweep_sizes)
       Families.all
   in
-  let doc = { Perf_json.c_jobs = jobs; c_cores = Perf_json.this_cores (); c_entries = entries } in
-  if write_baseline then begin
-    Perf_json.save_scale scale_baseline_path doc;
-    Format.printf "@.baseline written to %s@." scale_baseline_path
-  end
-  else begin
-    match Perf_json.load_scale scale_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- scale-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_scale ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "scale gate: PASS (within %.0f%% of baseline wall, shapes/makespans/objectives \
-            exact)@."
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "scale gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Mf_bench.gate Mf_bench.scale ~jobs ~write_baseline entries
 
 (* ------------------------------------------------------------------ *)
 (* Fault-adaptive repair vs full codesign: every benchmark chip x assay —
@@ -962,7 +879,6 @@ let scale ~write_baseline () =
 
 module Reconfig = Mf_repair.Reconfig
 
-let repair_baseline_path = "BENCH_repair.json"
 let repair_min_speedup = 10.
 
 let repair_bench ~write_baseline () =
@@ -1015,18 +931,18 @@ let repair_bench ~write_baseline () =
            cov.Mf_faults.Coverage.detected cov.Mf_faults.Coverage.total_faults
            (List.length rr.Reconfig.untestable);
          entries :=
-           {
-             Perf_json.r_name = name;
-             r_full_ms = full_ms;
-             r_repair_ms = repair_ms;
-             r_dropped = st.Reconfig.damaged;
-             r_added = st.Reconfig.added;
-             r_detected = cov.Mf_faults.Coverage.detected;
-             r_total = cov.Mf_faults.Coverage.total_faults;
-             r_vectors = Mf_testgen.Vectors.count rr.Reconfig.suite;
-             r_waived = List.length rr.Reconfig.untestable;
-             r_makespan = (match rr.Reconfig.exec_after with Some m -> m | None -> -1);
-           }
+           entry name
+             [
+               ("full_ms", ms full_ms);
+               ("repair_ms", ms repair_ms);
+               ("dropped", count st.Reconfig.damaged);
+               ("added", count st.Reconfig.added);
+               ("detected", count cov.Mf_faults.Coverage.detected);
+               ("total", count cov.Mf_faults.Coverage.total_faults);
+               ("vectors", count (Mf_testgen.Vectors.count rr.Reconfig.suite));
+               ("waived", count (List.length rr.Reconfig.untestable));
+               ("makespan", opt_count rr.Reconfig.exec_after);
+             ]
            :: !entries)
   in
   let with_pool chip k =
@@ -1069,39 +985,8 @@ let repair_bench ~write_baseline () =
       with_pool chip (fun pool ->
           run_point (Printf.sprintf "%s/%d" fname size) ~pool chip app))
     [ ("fpva", 5); ("storage", 6) ];
-  let doc =
-    { Perf_json.r_jobs = jobs; r_cores = Perf_json.this_cores (); r_entries = List.rev !entries }
-  in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.repair gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_repair repair_baseline_path doc;
-    Format.printf "@.baseline written to %s@." repair_baseline_path
-  end
-  else begin
-    match Perf_json.load_repair repair_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- repair-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_repair ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "repair gate: PASS (>=%.0fx vs codesign, 0 cert errors, counts exact, wall \
-            within %.0f%%)@."
-           repair_min_speedup
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "repair gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  Mf_bench.gate Mf_bench.repair ~checks:(List.rev !hard_failures) ~jobs ~write_baseline
+    (List.rev !entries)
 
 (* ------------------------------------------------------------------ *)
 (* Serve-mode engine benchmark: the daemon's value proposition in numbers
@@ -1116,10 +1001,8 @@ let repair_bench ~write_baseline () =
 
 module Engine = Mf_serve.Engine
 module Sproto = Mf_serve.Protocol
-module Sjson = Mf_serve.Json
 module Scache = Mf_serve.Cache
 
-let serve_baseline_path = "BENCH_serve.json"
 let serve_pairs = [ ("ivd_chip", "ivd"); ("ra30_chip", "pid"); ("mrna_chip", "cpa") ]
 let serve_min_hit_ratio = 100.
 
@@ -1154,8 +1037,8 @@ let serve_bench ~write_baseline () =
     }
   in
   let digest_of payload =
-    match Sjson.parse payload with
-    | Ok j -> (match Sjson.str_field "result_digest" j with Some d -> d | None -> "?")
+    match Json.parse payload with
+    | Ok j -> (match Json.str_field "result_digest" j with Some d -> d | None -> "?")
     | Error _ -> "?"
   in
   (* one cold solve through the engine, timed from submit to outcome *)
@@ -1220,13 +1103,13 @@ let serve_bench ~write_baseline () =
           let digest = digest_of cold_payload in
           Format.printf "%-16s %10.0f %10.3f %8.0fx  %s@." name cold_ms hit_ms ratio digest;
           Some
-            ( {
-                Perf_json.v_name = name;
-                v_fingerprint = fp;
-                v_digest = digest;
-                v_cold_ms = cold_ms;
-                v_hit_ms = hit_ms;
-              },
+            ( entry name
+                [
+                  ("fingerprint", Json.Str fp);
+                  ("digest", Json.Str digest);
+                  ("cold_ms", ms cold_ms);
+                  ("hit_ms", ms hit_ms);
+                ],
               cold_payload,
               s ))
       serve_pairs
@@ -1235,7 +1118,7 @@ let serve_bench ~write_baseline () =
      cache (and jobs=1, exercising the cross-parallelism claim when
      MFDFT_JOBS is exported) must reproduce the first payload line *)
   (match entries with
-   | ({ Perf_json.v_name; _ }, cold_payload, _) :: _ ->
+   | ({ Mf_bench.name = v_name; _ }, cold_payload, _) :: _ ->
      let chip, assay = List.hd serve_pairs in
      let dir2 = fresh_dir "indep" in
      let eng2 = Engine.create ~jobs:1 ~state_dir:dir2 () in
@@ -1258,11 +1141,11 @@ let serve_bench ~write_baseline () =
   let t0 = now () in
   while entries <> [] && now () -. t0 < warm_window do
     List.iter
-      (fun (e, _, s) ->
+      (fun ((e : Mf_bench.entry), _, s) ->
         match Engine.submit eng s ~on_event:ignore ~on_done:ignore with
         | Ok (_, Engine.Cached _) -> incr served
         | Ok (_, (Engine.Enqueued _ | Engine.Joined _)) | Error _ ->
-          fail "warm phase: %s not served from the cache" e.Perf_json.v_name)
+          fail "warm phase: %s not served from the cache" e.Mf_bench.name)
       entries
   done;
   let warm_wall = max 1e-6 (now () -. t0) in
@@ -1276,44 +1159,9 @@ let serve_bench ~write_baseline () =
     st.Engine.cache.Scache.corrupt;
   Engine.shutdown eng;
   rm state_dir;
-  let doc =
-    {
-      Perf_json.v_jobs = jobs;
-      v_cores = Perf_json.this_cores ();
-      v_warm_jobs_per_s = warm_jobs_per_s;
-      v_entries = List.map (fun (e, _, _) -> e) entries;
-    }
-  in
-  (match !hard_failures with
-   | [] -> ()
-   | fs ->
-     Format.printf "@.serve gate: FAIL@.";
-     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev fs);
-     exit 1);
-  if write_baseline then begin
-    Perf_json.save_serve serve_baseline_path doc;
-    Format.printf "@.baseline written to %s@." serve_baseline_path
-  end
-  else begin
-    match Perf_json.load_serve serve_baseline_path with
-    | Error msg ->
-      Format.printf "@.no usable baseline (%s); run `bench -- serve-baseline` to create one@."
-        msg
-    | Ok baseline ->
-      let failures, notes = Perf_json.compare_serve ~baseline doc in
-      List.iter (fun m -> Format.printf "note: %s@." m) notes;
-      (match failures with
-       | [] ->
-         Format.printf
-           "serve gate: PASS (hits >=%.0fx under cold, payloads byte-identical, \
-            fingerprints/digests exact, wall within %.0f%%)@."
-           serve_min_hit_ratio
-           ((Perf_json.tolerance -. 1.) *. 100.)
-       | failures ->
-         Format.printf "serve gate: FAIL@.";
-         List.iter (fun m -> Format.printf "  - %s@." m) failures;
-         exit 1)
-  end
+  let warm = entry "warm" [ ("warm_jobs_per_s", Json.Num warm_jobs_per_s) ] in
+  Mf_bench.gate Mf_bench.serve ~checks:(List.rev !hard_failures) ~jobs ~write_baseline
+    (List.map (fun (e, _, _) -> e) entries @ [ warm ])
 
 (* ------------------------------------------------------------------ *)
 (* bechamel micro-benchmarks *)

@@ -729,7 +729,7 @@ let export_cmd =
    fingerprint printer. *)
 
 module Serve = Mf_serve.Server
-module Sjson = Mf_serve.Json
+module Sjson = Mf_util.Json
 module Sproto = Mf_serve.Protocol
 
 let socket_arg =

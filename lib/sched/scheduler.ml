@@ -50,10 +50,10 @@ module Stats = struct
     }
 end
 
-(* Debug dumps are env-gated; the variable is read once so the event loop
-   pays a single forced-lazy boolean test on the cold deadlock path and
-   allocates nothing when tracing is off. *)
-let debug_enabled = lazy (Sys.getenv_opt "MFDFT_SCHED_DEBUG" <> None)
+(* Debug dumps are env-gated, read once at module initialisation: PSO
+   fitness reaches the deadlock path from several domains at once, where a
+   shared [lazy] would raise [CamlinternalLazy.Undefined]. *)
+let debug_enabled = Sys.getenv_opt "MFDFT_SCHED_DEBUG" <> None
 
 (* ------------------------------------------------------------------ *)
 (* Mutable run state *)
@@ -1272,7 +1272,7 @@ let exec ~options ~prep ~fast ~record_events ~cutoff chip app =
           match next_event_time st with
           | Some t -> loop t
           | None ->
-            if Lazy.force debug_enabled then dump_state st time;
+            if debug_enabled then dump_state st time;
             finish (Error (`Failure (Schedule.Deadlock time))) ~cut:false
       end
     in

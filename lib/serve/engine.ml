@@ -1,3 +1,4 @@
+module Json = Mf_util.Json
 module Codesign = Mfdft.Codesign
 module Domain_pool = Mf_util.Domain_pool
 

@@ -1,3 +1,4 @@
+module Json = Mf_util.Json
 module Codesign = Mfdft.Codesign
 
 type source = Name of string | Text of string

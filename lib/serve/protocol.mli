@@ -13,6 +13,8 @@
     is byte-identical for every solve of the same fingerprint.  The bench
     byte-identity gate compares exactly this line. *)
 
+module Json = Mf_util.Json
+
 type source = Name of string | Text of string
 
 type submit = {

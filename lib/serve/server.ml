@@ -1,3 +1,5 @@
+module Json = Mf_util.Json
+
 type endpoint = Unix_socket of string | Tcp of int
 
 type config = {
@@ -180,6 +182,11 @@ let listen_socket = function
     fd
 
 let run ?tune config =
+  (* Blocked before any thread or domain exists, so all inherit the mask and
+     one thread takes the signals: an OCaml handler runs only at a poll
+     point, which an idle daemon's threads (in waits and [select]) never reach. *)
+  let stop_signals = [ Sys.sigterm; Sys.sigint ] in
+  ignore (Thread.sigmask Unix.SIG_BLOCK stop_signals);
   let engine =
     Engine.create ~jobs:config.jobs ~mem_capacity:config.mem_capacity
       ~disk_capacity:config.disk_capacity ~checkpoint_every:config.checkpoint_every ?tune
@@ -187,11 +194,10 @@ let run ?tune config =
   in
   let stop_r, stop_w = Unix.pipe () in
   let request_shutdown () =
-    (* called from signal handlers: a single write, no locks *)
     try ignore (Unix.write stop_w (Bytes.of_string "x") 0 1) with Unix.Unix_error _ -> ()
   in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_shutdown ()));
-  Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> request_shutdown ()));
+  let on_signal () = ignore (Thread.wait_signal stop_signals); request_shutdown () in
+  ignore (Thread.create on_signal ());
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd = listen_socket config.endpoint in
   (match config.endpoint with

@@ -6,11 +6,11 @@
     thread, as the pool discipline requires.
 
     Shutdown: SIGTERM, SIGINT and the [shutdown] command all funnel into a
-    self-pipe (the handlers only write a byte — no locking in signal
-    context).  The accept loop notices, stops accepting and requests an
-    engine stop; the running job checkpoints at its next iteration
-    boundary, queued jobs stay persisted, the cache index is flushed, and
-    {!run} returns.  A daemon killed outright (SIGKILL) instead recovers
+    self-pipe ({!run} blocks both signals and takes them on one thread, so
+    an idle daemon stops too).  The accept loop notices, stops accepting
+    and requests an engine stop; the running job checkpoints at its next
+    iteration boundary, queued jobs stay persisted, the cache index is
+    flushed, and {!run} returns.  A daemon killed outright (SIGKILL) instead recovers
     from the persisted specs and checkpoints on the next start. *)
 
 type endpoint =

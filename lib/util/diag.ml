@@ -73,33 +73,20 @@ let pp_list ppf = function
     Fmt.pf ppf "%d error%s, %d warning%s" e (if e = 1 then "" else "s") w
       (if w = 1 then "" else "s")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let fields =
-    [
-      Some (Printf.sprintf "\"code\":\"%s\"" (json_escape d.code));
-      Some (Printf.sprintf "\"severity\":\"%s\"" (severity_name d.severity));
-      Some (Printf.sprintf "\"message\":\"%s\"" (json_escape d.message));
-      Option.map (fun f -> Printf.sprintf "\"file\":\"%s\"" (json_escape f)) d.where.file;
-      Option.map (fun l -> Printf.sprintf "\"line\":%d" l) d.where.line;
-      Option.map (fun c -> Printf.sprintf "\"col\":%d" c) d.where.col;
-      Option.map (fun s -> Printf.sprintf "\"subject\":\"%s\"" (json_escape s)) d.subject;
-    ]
-  in
-  "{" ^ String.concat "," (List.filter_map Fun.id fields) ^ "}"
+  let opt key f = function Some x -> [ (key, f x) ] | None -> [] in
+  let num i = Json.Num (float_of_int i) in
+  Json.to_line
+    (Json.Obj
+       ([
+          ("code", Json.Str d.code);
+          ("severity", Json.Str (severity_name d.severity));
+          ("message", Json.Str d.message);
+        ]
+       @ opt "file" (fun f -> Json.Str f) d.where.file
+       @ opt "line" num d.where.line
+       @ opt "col" num d.where.col
+       @ opt "subject" (fun s -> Json.Str s) d.subject))
 
 let json_list ds =
   match ds with

@@ -40,7 +40,28 @@ let test_rendering () =
   let json = Diag.to_json d in
   List.iter
     (fun needle -> check Alcotest.bool needle true (contains json needle))
-    [ "\"MF003\""; "\"error\""; "x.chip"; "valve v1" ]
+    [ "\"MF003\""; "\"error\""; "x.chip"; "valve v1" ];
+  (* the tooling rendering reads back through the shared parser *)
+  let bare = Diag.warningf ~code:"MF201" "quote \" tab\t cr\r nl\n end" in
+  let module Json = Mf_util.Json in
+  match Json.parse (Diag.json_list [ d; bare ]) with
+  | Ok (Json.Arr [ j; k ]) ->
+    let str key j = Json.str_field key j in
+    check Alcotest.(option string) "code" (Some "MF003") (str "code" j);
+    check Alcotest.(option string) "severity" (Some "error") (str "severity" j);
+    check Alcotest.(option string) "message" (Some "message") (str "message" j);
+    check Alcotest.(option string) "file" (Some "x.chip") (str "file" j);
+    check Alcotest.(option int) "line" (Some 3) (Json.int_field "line" j);
+    check Alcotest.(option int) "col" (Some 7) (Json.int_field "col" j);
+    check Alcotest.(option string) "subject" (Some "valve v1") (str "subject" j);
+    check Alcotest.(option string) "code 2" (Some "MF201") (str "code" k);
+    check Alcotest.(option string) "severity 2" (Some "warning") (str "severity" k);
+    check Alcotest.(option string) "escaped message" (Some bare.Diag.message) (str "message" k);
+    List.iter
+      (fun key -> check Alcotest.bool (key ^ " absent") true (Json.member key k = None))
+      [ "file"; "line"; "col"; "subject" ]
+  | Ok _ -> Alcotest.fail "json_list: expected a two-element array"
+  | Error e -> Alcotest.failf "json_list does not parse: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* Linter *)
