@@ -99,10 +99,15 @@ type verdict =
 let testable_suite (entry : Pool.entry) scheme =
   let shared = Sharing.apply entry.Pool.augmented scheme in
   let suite = entry.Pool.suite in
-  if Vectors.is_valid shared suite then Testable (shared, suite)
+  let report = Vectors.validate shared suite in
+  if Mf_faults.Coverage.complete report then Testable (shared, suite)
   else begin
-    let repaired = Mf_testgen.Repair.run shared suite in
-    let report = Vectors.validate shared repaired in
+    let repaired = Mf_testgen.Repair.run ~report shared suite in
+    (* repair only appends vectors: none appended, nothing to re-measure *)
+    let report =
+      if Vectors.count repaired = Vectors.count suite then report
+      else Vectors.validate shared repaired
+    in
     if Mf_faults.Coverage.complete report then Testable (shared, repaired)
     else
       Untestable

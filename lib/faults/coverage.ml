@@ -14,12 +14,12 @@ let complete r =
 
 let ratio r = if r.total_faults = 0 then 1. else float_of_int r.detected /. float_of_int r.total_faults
 
+(* Vector-major: each vector is prepared once (one fault-free simulation)
+   and asked only about the faults no earlier vector detected.  A fault's
+   verdict is whether any vector detects it, so the order changes no
+   report. *)
 let measure ?(include_leaks = false) ?present chip vectors =
-  let malformed =
-    List.fold_left
-      (fun n v -> if Pressure.well_formed ?present chip v then n else n + 1)
-      0 vectors
-  in
+  Mf_util.Prof.time "faults.measure" @@ fun () ->
   let faults = if include_leaks then Fault.all_with_leaks chip else Fault.all chip in
   let faults =
     (* faults already present on the chip are the simulation baseline, not
@@ -30,27 +30,37 @@ let measure ?(include_leaks = false) ?present chip vectors =
       let ctx_faults = Pressure.context_faults ctx in
       List.filter (fun f -> not (List.exists (Fault.equal f) ctx_faults)) faults
   in
-  let detected = ref 0 in
-  let sa0_undetected = ref [] in
-  let sa1_undetected = ref [] in
-  let leak_undetected = ref [] in
+  let faults = Array.of_list faults in
+  let found = Array.make (Array.length faults) false in
+  let malformed = ref 0 in
+  let decided = ref 0 and resimulated = ref 0 in
   List.iter
-    (fun fault ->
-      if List.exists (fun v -> Pressure.detects ?present chip v fault) vectors then
-        incr detected
-      else
-        match fault with
-        | Fault.Stuck_at_0 e -> sa0_undetected := e :: !sa0_undetected
-        | Fault.Stuck_at_1 v -> sa1_undetected := v :: !sa1_undetected
-        | Fault.Leak v -> leak_undetected := v :: !leak_undetected)
-    faults;
+    (fun v ->
+      let p = Pressure.prepare ?present chip v in
+      if not (Pressure.prepared_well_formed p) then incr malformed;
+      Array.iteri
+        (fun i fault ->
+          if not found.(i) then begin
+            incr decided;
+            found.(i) <- Pressure.prepared_detects p fault
+          end)
+        faults;
+      resimulated := !resimulated + Pressure.prepared_resimulated p)
+    vectors;
+  Mf_util.Prof.add_count "faults.decided" !decided;
+  Mf_util.Prof.add_count "faults.resimulated" !resimulated;
+  let undetected pick =
+    Array.to_list faults
+    |> List.filteri (fun i _ -> not found.(i))
+    |> List.filter_map pick
+  in
   {
-    total_faults = List.length faults;
-    detected = !detected;
-    sa0_undetected = List.rev !sa0_undetected;
-    sa1_undetected = List.rev !sa1_undetected;
-    leak_undetected = List.rev !leak_undetected;
-    malformed;
+    total_faults = Array.length faults;
+    detected = Array.fold_left (fun n hit -> if hit then n + 1 else n) 0 found;
+    sa0_undetected = undetected (function Fault.Stuck_at_0 e -> Some e | _ -> None);
+    sa1_undetected = undetected (function Fault.Stuck_at_1 v -> Some v | _ -> None);
+    leak_undetected = undetected (function Fault.Leak v -> Some v | _ -> None);
+    malformed = !malformed;
   }
 
 let pp ppf r =

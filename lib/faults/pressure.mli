@@ -52,3 +52,36 @@ val well_formed : ?present:context -> Mf_arch.Chip.t -> Vector.t -> bool
     a test set.  Under a non-empty context this is the {e damage test}: a
     path vector that traverses a blocked edge, or a cut vector defeated by
     a stuck-open valve, is no longer well-formed. *)
+
+(** {1 Prepared vectors}
+
+    One fault-free simulation of a vector, from which every single-fault
+    detection question is answered: the reach, the per-meter readings and
+    the component labels of the conducting graph.  The reach is always a
+    union of whole components (the source's, plus those a context leak
+    feeds), and a candidate fault adds or removes at most one edge or adds
+    two seeds.  So a stuck-at-1 or leak is decided from the labels of its
+    valve's endpoints, and a stuck-at-0 is simulated only when its edge
+    conducts inside a component holding a pressurised meter (anywhere else
+    removing the edge changes no reading).  Callers that ask one vector
+    about many faults prepare it once; the value holds O(nodes + edges) of
+    working data and is meant to be dropped after use. *)
+
+type prepared
+
+val prepare : ?present:context -> Mf_arch.Chip.t -> Vector.t -> prepared
+
+val prepared_readings : prepared -> bool list
+(** Equal to [readings ?present chip v]. *)
+
+val prepared_well_formed : prepared -> bool
+(** Equal to [well_formed ?present chip v]. *)
+
+val prepared_detects : prepared -> Fault.t -> bool
+(** [prepared_detects (prepare ?present chip v) f] equals
+    [detects ?present chip v f] for every fault [f]; {!detects} stays the
+    reference definition the tests compare against. *)
+
+val prepared_resimulated : prepared -> int
+(** How many {!prepared_detects} calls on this value fell back to
+    simulating the faulty chip. *)

@@ -197,11 +197,11 @@ let gen_candidates ctx chip ~s ~t fault =
           match Cutgen.cover_valve chip ~s ~t (Chip.valves chip).(w) with
           | None -> []
           | Some cut ->
-            let vec = Vector.of_cut chip ~source:s ~meters:[ t ] cut in
-            if
-              Pressure.well_formed ~present:ctx chip vec
-              && Pressure.detects ~present:ctx chip vec fault
-            then [ Ccut cut ]
+            let p =
+              Pressure.prepare ~present:ctx chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
+            in
+            if Pressure.prepared_well_formed p && Pressure.prepared_detects p fault then
+              [ Ccut cut ]
             else []))
   | Fault.Leak _ -> []
 
@@ -609,10 +609,10 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
               let detect_matrix =
                 Domain_pool.map dpool
                   (fun c ->
-                    let vec = cand_vector st.st_chip ~s ~t c in
-                    Array.map
-                      (fun f -> Pressure.detects ~present:ctx st.st_chip vec f)
-                      owners)
+                    let p =
+                      Pressure.prepare ~present:ctx st.st_chip (cand_vector st.st_chip ~s ~t c)
+                    in
+                    Array.map (Pressure.prepared_detects p) owners)
                   cands
               in
               let chosen, solver_stats, greedy =

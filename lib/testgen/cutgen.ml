@@ -89,10 +89,10 @@ let generate chip ~source ~meter =
   let cuts = ref [] in
   let untestable = ref [] in
   let mark_detected cut =
-    let vec = Vector.of_cut chip ~source:s ~meters:[ t ] cut in
-    if Pressure.well_formed chip vec then
+    let p = Pressure.prepare chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut) in
+    if Pressure.prepared_well_formed p then
       List.iter
-        (fun w -> if Pressure.detects chip vec (Fault.Stuck_at_1 w) then Bitset.add covered w)
+        (fun w -> if Pressure.prepared_detects p (Fault.Stuck_at_1 w) then Bitset.add covered w)
         cut
   in
   Array.iter

@@ -117,14 +117,15 @@ let generate chip =
         | Some p ->
           paths := p :: !paths;
           let ports = Chip.ports chip in
-          let vec =
-            Vector.of_path chip ~source:(Chip.ports chip).(p.src_port).node
-              ~meters:[ ports.(p.dst_port).node ] p.edges
+          let prepared =
+            Pressure.prepare chip
+              (Vector.of_path chip ~source:(Chip.ports chip).(p.src_port).node
+                 ~meters:[ ports.(p.dst_port).node ] p.edges)
           in
           Bitset.iter
             (fun f ->
-              if Bitset.mem uncovered f && Pressure.detects chip vec (Fault.Stuck_at_0 f) then
-                Bitset.remove uncovered f)
+              if Bitset.mem uncovered f && Pressure.prepared_detects prepared (Fault.Stuck_at_0 f)
+              then Bitset.remove uncovered f)
             (Bitset.copy uncovered)
       end)
     channels;
@@ -149,18 +150,19 @@ let generate chip =
               | None -> None
               | Some cut ->
                 let vec = Vector.of_cut chip ~source:p.node ~meters:[ q.node ] cut in
+                let prepared = Pressure.prepare chip vec in
                 if
-                  Pressure.well_formed chip vec
-                  && Pressure.detects chip vec (Fault.Stuck_at_1 v.valve_id)
-                then Some (cut, vec)
+                  Pressure.prepared_well_formed prepared
+                  && Pressure.prepared_detects prepared (Fault.Stuck_at_1 v.valve_id)
+                then Some (cut, vec, prepared)
                 else None)
         in
         match found with
-        | Some (cut, vec) ->
+        | Some (cut, vec, prepared) ->
           cut_vectors := vec :: !cut_vectors;
           List.iter
             (fun w ->
-              if Pressure.detects chip vec (Fault.Stuck_at_1 w) then Bitset.add covered w)
+              if Pressure.prepared_detects prepared (Fault.Stuck_at_1 w) then Bitset.add covered w)
             cut
         | None -> sa1_untestable := v.valve_id :: !sa1_untestable
       end)

@@ -129,9 +129,8 @@ let exact_route chip ?present ~s ~t ~via () =
 
 let candidates_sa0 ?present chip ~s ~t edge =
   let accept path =
-    let vec = Vector.of_path chip ~source:s ~meters:[ t ] path in
-    Pressure.well_formed ?present chip vec
-    && Pressure.detects ?present chip vec (Fault.Stuck_at_0 edge)
+    let p = Pressure.prepare ?present chip (Vector.of_path chip ~source:s ~meters:[ t ] path) in
+    Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_0 edge)
   in
   dedup
     (List.filter accept
@@ -159,10 +158,8 @@ let candidates_sa1 ?present chip ~s ~t valve_id =
       List.init (Chip.n_valves chip) Fun.id
       |> List.filter (fun w -> not (List.mem w open_valves))
     in
-    let vec = Vector.of_cut chip ~source:s ~meters:[ t ] cut in
-    if
-      Pressure.well_formed ?present chip vec
-      && Pressure.detects ?present chip vec (Fault.Stuck_at_1 valve_id)
+    let p = Pressure.prepare ?present chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut) in
+    if Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_1 valve_id)
     then Some cut
     else None
   in
@@ -174,8 +171,10 @@ let candidates_sa1 ?present chip ~s ~t valve_id =
 let repair_sa1 ?present chip ~s ~t valve_id =
   match candidates_sa1 ?present chip ~s ~t valve_id with [] -> None | c :: _ -> Some c
 
-let run ?present chip (suite : Vectors.t) =
-  let report = Vectors.validate ?present chip suite in
+let run ?present ?report chip (suite : Vectors.t) =
+  let report =
+    match report with Some r -> r | None -> Vectors.validate ?present chip suite
+  in
   let ports = Chip.ports chip in
   let s = ports.(suite.source_port).node and t = ports.(suite.meter_port).node in
   let extra_paths =

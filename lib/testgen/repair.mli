@@ -42,7 +42,11 @@ val repair_sa1 :
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
 (** First confirmed candidate of {!candidates_sa1}, if any. *)
 
-val run : ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> Vectors.t -> Vectors.t
+val run :
+  ?present:Mf_faults.Pressure.context -> ?report:Mf_faults.Coverage.report ->
+  Mf_arch.Chip.t -> Vectors.t -> Vectors.t
 (** [run chip suite] returns the suite extended with repair vectors.  The
     result is not guaranteed complete (genuinely untestable faults remain
-    uncovered); callers re-validate with {!Vectors.validate}. *)
+    uncovered); callers re-validate with {!Vectors.validate}.  [?report]
+    is [Vectors.validate ?present chip suite] when the caller already has
+    it, and saves simulating the suite a second time. *)

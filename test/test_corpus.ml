@@ -3,7 +3,8 @@
    generated test suite must re-certify through the independent verifier,
    the scheduler fast path must agree bit-for-bit with the reference
    implementation, the path ILP must cover at least as well as the greedy
-   fallback, and pool construction must be parallelism-invariant.
+   fallback, pool construction must be parallelism-invariant, and the
+   prepared fault simulation must agree with the reference simulation.
 
    Case counts scale with MFDFT_CORPUS_COUNT (the lint-property count;
    the expensive solver-backed properties derive smaller counts from it)
@@ -28,6 +29,11 @@ module Rng = Mf_util.Rng
 module Reconfig = Mf_repair.Reconfig
 module Fault = Mf_faults.Fault
 module Chaos = Mf_util.Chaos
+module Pressure = Mf_faults.Pressure
+module Vector = Mf_faults.Vector
+module Graph = Mf_graph.Graph
+module Traverse = Mf_graph.Traverse
+module Bitset = Mf_util.Bitset
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -44,6 +50,7 @@ let sched_count = max 8 (lint_count / 12)
 let greedy_count = max 4 (lint_count / 25)
 let pool_count = max 2 (lint_count / 50)
 let repair_count = max 4 (lint_count / 25)
+let prepared_count = max 10 (lint_count / 4)
 
 (* Deterministic case derivation: QCheck supplies a small case index; the
    chip/assay pair is a pure function of (family, MFDFT_CORPUS_SEED, index),
@@ -249,6 +256,110 @@ let ilp_fingerprint f index jobs =
 
 let ilp_parallel_invariant f index = ilp_fingerprint f index 1 = ilp_fingerprint f index 4
 
+(* ------------------------------------------------------------------ *)
+(* P9: prepared fault simulation is exact — on random path, cut,
+   multi-meter and arbitrary-line vectors, under random fault contexts
+   (blocked edges, stuck-open valves, leaks), every prepared decision
+   equals the reference [Pressure.detects], and [Coverage.measure] equals
+   the per-fault fold of [detects] over the full leak-inclusive universe *)
+
+let random_vectors chip rng =
+  let g = Mf_grid.Grid.graph (Chip.grid chip) in
+  let ports = Array.map (fun (p : Chip.port) -> p.Chip.node) (Chip.ports chip) in
+  let n_valves = Chip.n_valves chip in
+  let route s t =
+    let noise = Array.init (Graph.n_edges g) (fun _ -> 1. +. Rng.float rng 4.) in
+    match
+      Traverse.dijkstra g ~allowed:(Chip.is_channel chip) ~weight:(fun e -> noise.(e)) ~src:s
+        ~dst:t
+    with
+    | Some (_, p) -> p
+    | None -> []
+  in
+  let some_meters s =
+    match List.filter (fun n -> n <> s) (Array.to_list ports) with
+    | [] -> [ s ]
+    | first :: _ as others -> (
+        match List.filter (fun _ -> Rng.bool rng) others with [] -> [ first ] | m -> m)
+  in
+  List.init 8 (fun i ->
+      let s = Rng.pick rng ports in
+      let meters = some_meters s in
+      match i mod 4 with
+      | 0 -> Vector.of_path chip ~source:s ~meters:[ List.hd meters ] (route s (List.hd meters))
+      | 1 ->
+        (* a tree: the union of routes to every meter *)
+        Vector.of_path chip ~source:s ~meters (List.concat_map (route s) meters)
+      | 2 ->
+        Vector.of_cut chip ~source:s ~meters
+          (List.filter (fun _ -> Rng.int rng 3 > 0) (List.init n_valves Fun.id))
+      | _ ->
+        let active = Bitset.create (Chip.n_controls chip) in
+        for c = 0 to Chip.n_controls chip - 1 do
+          if Rng.bool rng then Bitset.add active c
+        done;
+        { Vector.label = "random lines"; kind = Vector.Cut []; active_lines = active; source = s;
+          meters; expected = Rng.bool rng })
+
+let random_context chip rng =
+  let channels = Array.of_list (Bitset.elements (Chip.channel_edges chip)) in
+  let n_valves = Chip.n_valves chip in
+  let draw k make n = if n = 0 then [] else List.init k (fun _ -> make (Rng.int rng n)) in
+  let faults =
+    draw (Rng.int rng 3) (fun i -> Fault.Stuck_at_0 channels.(i)) (Array.length channels)
+    @ draw (Rng.int rng 3) (fun v -> Fault.Stuck_at_1 v) n_valves
+    @ draw (Rng.int rng 3) (fun v -> Fault.Leak v) n_valves
+  in
+  if faults = [] then None else Some (Pressure.context chip faults)
+
+let prepared_is_exact f index =
+  let chip, _ = case f index in
+  let rng = Rng.create ~seed:(case_seed (family_salt f) index + 97) in
+  let vectors = random_vectors chip rng in
+  let universe = Fault.all_with_leaks chip in
+  List.for_all
+    (fun present ->
+      let decisions_agree =
+        List.for_all
+          (fun v ->
+            let p = Pressure.prepare ?present chip v in
+            Pressure.prepared_readings p = Pressure.readings chip ?present v
+            && Pressure.prepared_well_formed p = Pressure.well_formed ?present chip v
+            && List.for_all
+                 (fun fault ->
+                   Pressure.prepared_detects p fault = Pressure.detects ?present chip v fault
+                   || QCheck.Test.fail_reportf "%s: %a on %s disagrees with detects"
+                        (Chip.name chip) (Fault.pp chip) fault v.Vector.label)
+                 universe)
+          vectors
+      in
+      let report = Coverage.measure ~include_leaks:true ?present chip vectors in
+      let targets =
+        match present with
+        | None -> universe
+        | Some ctx ->
+          List.filter
+            (fun f -> not (List.exists (Fault.equal f) (Pressure.context_faults ctx)))
+            universe
+      in
+      let escaped =
+        List.filter
+          (fun fault -> not (List.exists (fun v -> Pressure.detects ?present chip v fault) vectors))
+          targets
+      in
+      let pick sel = List.filter_map sel escaped in
+      decisions_agree
+      && report.Coverage.total_faults = List.length targets
+      && report.Coverage.detected = List.length targets - List.length escaped
+      && report.Coverage.sa0_undetected
+         = pick (function Fault.Stuck_at_0 e -> Some e | _ -> None)
+      && report.Coverage.sa1_undetected
+         = pick (function Fault.Stuck_at_1 v -> Some v | _ -> None)
+      && report.Coverage.leak_undetected = pick (function Fault.Leak v -> Some v | _ -> None)
+      && report.Coverage.malformed
+         = List.length (List.filter (fun v -> not (Pressure.well_formed ?present chip v)) vectors))
+    [ None; random_context chip rng; random_context chip rng ]
+
 let family_suite f =
   let n = f.Families.name in
   ( Printf.sprintf "corpus:%s" n,
@@ -262,6 +373,7 @@ let family_suite f =
       prop ~name:(n ^ " repair re-certifies") ~count:repair_count f repair_recertifies;
       prop ~name:(n ^ " parallel ilp jobs=1 = jobs=4") ~count:pool_count f
         ilp_parallel_invariant;
+      prop ~name:(n ^ " prepared faults = detects") ~count:prepared_count f prepared_is_exact;
     ]
     @
     (* pinned regression case: the fpva/6 model historically exercised the
