@@ -208,7 +208,7 @@ let bound_store cache key b =
    baseline scans it) and the evaluation counter.  Plain data only, so
    [Marshal] round-trips it; loadable by binaries built from the same
    sources. *)
-let snapshot_magic = "mfdft-codesign-checkpoint-v3"
+let snapshot_magic = "mfdft-codesign-checkpoint-v4"
 
 type snapshot = {
   ck_magic : string;

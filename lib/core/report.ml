@@ -71,6 +71,24 @@ let markdown ?(title = "DFT codesign report") (r : Codesign.result) =
   out "- presolve: %d variables fixed, %d tightenings; %d root cover cuts\n"
     s.Mf_ilp.Ilp.rs_presolve_fixed s.Mf_ilp.Ilp.rs_presolve_tightened
     s.Mf_ilp.Ilp.rs_cover_cuts;
+  (match r.config.Mf_testgen.Pathgen.attempts with
+   | [] -> out "- no ILP attempt (greedy cover only)\n"
+   | attempts ->
+     out "- ILP attempts behind the final configuration:\n\n";
+     out "| paths k | outcome | nodes | root bound | best bound | primed bound |\n";
+     out "|---:|---|---:|---:|---:|---:|\n";
+     List.iter
+       (fun (a : Mf_testgen.Pathgen.attempt) ->
+         out "| %d | %s | %d | %.7g | %.7g | %.7g |\n" a.k
+           (match a.outcome with
+            | `Optimal -> "optimal"
+            | `Feasible -> "feasible, unproven"
+            | `Infeasible -> "nothing below the primed bound"
+            | `Node_limit -> "node cap, no incumbent"
+            | `Failed -> "solver failure")
+           a.nodes a.root_bound a.best_bound a.primed_bound)
+       attempts;
+     out "\n");
   let valid = List.filter (fun v -> v < Codesign.invalid_threshold) r.trace in
   (match valid with
    | [] -> out "- the swarm never found a valid sharing scheme\n"

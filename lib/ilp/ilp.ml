@@ -18,6 +18,8 @@ type run_stats = {
   rs_presolve_fixed : int;
   rs_presolve_tightened : int;
   rs_cover_cuts : int;
+  rs_root_bound : float;
+  rs_best_bound : float;
 }
 
 let zero_stats =
@@ -33,6 +35,8 @@ let zero_stats =
     rs_presolve_fixed = 0;
     rs_presolve_tightened = 0;
     rs_cover_cuts = 0;
+    rs_root_bound = neg_infinity;
+    rs_best_bound = neg_infinity;
   }
 
 let add_stats a b =
@@ -48,6 +52,8 @@ let add_stats a b =
     rs_presolve_fixed = a.rs_presolve_fixed + b.rs_presolve_fixed;
     rs_presolve_tightened = a.rs_presolve_tightened + b.rs_presolve_tightened;
     rs_cover_cuts = a.rs_cover_cuts + b.rs_cover_cuts;
+    rs_root_bound = b.rs_root_bound;
+    rs_best_bound = b.rs_best_bound;
   }
 
 type t = {
@@ -150,8 +156,17 @@ let cache_cap = 1024
 
 let cache_key fixings =
   let sorted = List.sort (fun (a, _) (b, _) -> compare (a : int) b) fixings in
-  String.concat ";"
-    (List.map (fun (v, x) -> Printf.sprintf "%d:%.0f" v x) sorted)
+  let key = Buffer.create 64 in
+  List.iteri
+    (fun i (v, x) ->
+      if i > 0 then Buffer.add_char key ';';
+      Buffer.add_string key (string_of_int v);
+      Buffer.add_char key ':';
+      (* branching fixes binaries at exactly 0 or 1 *)
+      Buffer.add_string key
+        (if x = 0. then "0" else if x = 1. then "1" else Printf.sprintf "%.0f" x))
+    sorted;
+  Buffer.contents key
 
 (* Chaos [ilp-worker] strikes surface as this exception inside a worker
    task; the batch drains fully before it is rethrown as one typed
@@ -289,8 +304,10 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
   let is_binary v = v >= 0 && v < Array.length is_binary_arr && is_binary_arr.(v) in
   let stats = ref zero_stats in
   let nodes = ref 0 in
-  let finish outcome =
+  let root_bound = ref neg_infinity in
+  let finish ?(best_bound = infinity) outcome =
     t.nodes_explored <- !nodes;
+    stats := { !stats with rs_root_bound = !root_bound; rs_best_bound = best_bound };
     t.last_stats <- !stats;
     Mf_util.Prof.add_count "ilp.solves" 1;
     Mf_util.Prof.add_count "ilp.nodes" !stats.rs_nodes;
@@ -313,7 +330,10 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
       ps.Lp.ps_infeasible
     end
   in
-  if ps_infeasible then finish Infeasible
+  if ps_infeasible then begin
+    root_bound := infinity;
+    finish Infeasible
+  end
   else begin
     let incumbent = ref None in
     let incumbent_obj = ref upper_bound in
@@ -333,7 +353,6 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
     let aborted = ref None in
     let abort f = if !aborted = None then aborted := Some f in
     let cache : (string, cache_entry) Hashtbl.t = Hashtbl.create 64 in
-    let fix_of fixings v = List.assoc_opt v fixings in
     let most_fractional values =
       let best = ref (-1) in
       let best_prio = ref max_int in
@@ -387,7 +406,7 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
        in the (model, fixings, seed basis) inputs *)
     let relax_task fixings seed () =
       if Mf_util.Chaos.strike Ilp_worker then raise Worker_strike;
-      Lp.solve_b ?budget ~fix:(fix_of fixings) ?warm:seed t.lp
+      Lp.solve_b ?budget ~fix:fixings ?warm:seed t.lp
     in
     let debug = Sys.getenv_opt "MFDFT_ILP_DEBUG" <> None in
     let t_start = Sys.time () in
@@ -422,6 +441,7 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
           | Lp.Optimal { objective; values } ->
             basis := (match b with Some _ -> b | None -> !basis);
             root := { fixings = []; bound = objective; parent = !basis };
+            root_bound := objective;
             let fresh =
               separate_covers t.lp ~is_binary ~n_rows:n_rows0 ~seen ~max_cuts:16 values
             in
@@ -440,7 +460,9 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
               ignore (Atomic.fetch_and_add Stats.cover_cuts n);
               stats := { !stats with rs_cover_cuts = !stats.rs_cover_cuts + n }
             end
-          | Lp.Infeasible -> root_infeasible := true
+          | Lp.Infeasible ->
+            root_infeasible := true;
+            root_bound := infinity
           | Lp.Unbounded ->
             abort (Mf_util.Fail.v ~nodes:!nodes Mf_util.Fail.Ilp "LP relaxation unbounded")
           | Lp.Iter_limit | Lp.Numerical _ ->
@@ -582,6 +604,14 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
                   match outcome with
                   | None -> ()
                   | Some (rel, basis) -> (
+                    (* without root cut rounds the first root relaxation
+                       is solved here *)
+                    (if node.fixings = [] && !root_bound = neg_infinity then
+                       match rel with
+                       | Lp.Optimal { objective; _ } | Lp.Feasible { objective; _ } ->
+                         root_bound := objective
+                       | Lp.Infeasible -> root_bound := infinity
+                       | Lp.Iter_limit | Lp.Numerical _ | Lp.Unbounded -> ());
                     match rel with
                     | Lp.Infeasible -> ()
                     | Lp.Iter_limit | Lp.Numerical _ ->
@@ -676,6 +706,17 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
       end
     in
     if !aborted = None && not !root_infeasible then loop ();
+    (* the best bound: the least bound among the nodes left open *)
+    let best_bound = ref infinity in
+    let rec drain () =
+      match Heap.pop heap with
+      | Some (_, node) ->
+        best_bound := Float.min !best_bound node.bound;
+        drain ()
+      | None -> ()
+    in
+    drain ();
+    let finish = finish ~best_bound:!best_bound in
     match !aborted with
     | Some f -> finish (Failed f)
     | None -> (

@@ -100,6 +100,13 @@ type run_stats = {
   rs_presolve_fixed : int;  (** variables fixed by presolve *)
   rs_presolve_tightened : int;  (** presolve bound tightenings + coefficient reductions *)
   rs_cover_cuts : int;  (** root cover cuts installed *)
+  rs_root_bound : float;
+      (** objective of the root relaxation the tree search starts from
+          (after the cover-cut rounds); [infinity] when it is infeasible,
+          [neg_infinity] when none was solved *)
+  rs_best_bound : float;
+      (** the least bound among the nodes left open when the search
+          stopped; [infinity] once no open node remains *)
 }
 (** Effort accounting for a single {!solve} call — what {!Stats} counts
     process-wide.  Identical for any job count. *)
@@ -107,7 +114,8 @@ type run_stats = {
 val zero_stats : run_stats
 
 val add_stats : run_stats -> run_stats -> run_stats
-(** Field-wise sum, for aggregating across solves. *)
+(** Field-wise sum of the counters, for aggregating across solves; the two
+    bounds are those of the second argument, the later solve. *)
 
 val nodes_explored : t -> int
 (** Nodes expanded during the most recent {!solve} call (each is one LP

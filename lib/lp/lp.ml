@@ -204,22 +204,52 @@ let extend_basis (wb : basis) (k : compiled) : Simplex.basis option =
 
 let no_info = { primal_pivots = 0; dual_pivots = 0; warm = false; fell_back = false }
 
-let solve_b ?max_iters ?budget ?(fix = fun _ -> None) ?warm t =
+(* Per-domain bound arrays for {!solve_b}, checked out for the length of
+   one solve (threads sharing a domain never share them; a solve that finds
+   the slot empty allocates its own). *)
+type bounds = { mutable lo : float array; mutable hi : float array }
+
+let bounds_slot : bounds option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let solve_b ?max_iters ?budget ?(fix = []) ?warm t =
   let k = compile t in
-  let lower = Array.copy k.k_lower in
-  let upper = Array.copy k.k_upper in
-  for v = 0 to k.k_nv - 1 do
-    match fix v with
-    | None -> ()
-    | Some x ->
+  List.iter
+    (fun (v, _) -> if v < 0 || v >= k.k_nv then invalid_arg "Lp.solve_b: bad fixed variable")
+    fix;
+  let slot = Domain.DLS.get bounds_slot in
+  let bd =
+    match Atomic.exchange slot None with
+    | Some bd -> bd
+    | None -> { lo = [||]; hi = [||] }
+  in
+  if Array.length bd.lo <> k.k_n then begin
+    bd.lo <- Array.make k.k_n 0.;
+    bd.hi <- Array.make k.k_n 0.
+  end;
+  let lower = bd.lo and upper = bd.hi in
+  Array.blit k.k_lower 0 lower 0 k.k_n;
+  Array.blit k.k_upper 0 upper 0 k.k_n;
+  (* the first fixing of a variable wins: apply the list back to front *)
+  let rec apply = function
+    | [] -> ()
+    | (v, x) :: rest ->
+      apply rest;
       lower.(v) <- x;
       upper.(v) <- x
-  done;
+  in
+  apply fix;
   let sx_warm = Option.bind warm (fun wb -> extend_basis wb k) in
-  match Simplex.solve ?max_iters ?budget ?warm:sx_warm k.k_problem ~lower ~upper ~c:k.k_c with
-  | exception Failure msg ->
-    (Numerical msg, None, { no_info with fell_back = warm <> None })
-  | sx_result, sx_basis, sx_info ->
+  let solved =
+    match Simplex.solve ?max_iters ?budget ?warm:sx_warm k.k_problem ~lower ~upper ~c:k.k_c with
+    | r -> Ok r
+    | exception e -> Error e
+  in
+  Atomic.set slot (Some bd);
+  match solved with
+  | Error (Failure msg) -> (Numerical msg, None, { no_info with fell_back = warm <> None })
+  | Error e -> raise e
+  | Ok (sx_result, sx_basis, sx_info) ->
     let result =
       match sx_result with
       | Simplex.Infeasible -> Infeasible

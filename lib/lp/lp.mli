@@ -92,13 +92,15 @@ val presolve : ?integer:(var -> bool) -> t -> presolve_stats
 val solve_b :
   ?max_iters:int ->
   ?budget:Mf_util.Budget.t ->
-  ?fix:(var -> float option) ->
+  ?fix:(var * float) list ->
   ?warm:basis ->
   t ->
   result * basis option * info
-(** Solve the LP (relaxation).  [fix v = Some x] clamps both bounds of [v]
-    to [x] for this solve only — how branch-and-bound explores subproblems
-    without rebuilding the model.  The builder is reusable: more rows and
+(** Solve the LP (relaxation).  Each [(v, x)] of [fix] clamps both bounds
+    of [v] to [x] for this solve only (the first pair for a variable wins) —
+    how branch-and-bound explores subproblems without rebuilding the model.
+    Only the fixed variables are visited, and the bound arrays are reused
+    across the solves of a domain.  The builder is reusable: more rows and
     variables may be added after a solve and the model solved again, which
     is how lazy loop-elimination constraints are injected.
 
@@ -114,6 +116,6 @@ val solve_b :
     breakdown as [Numerical]. *)
 
 val solve :
-  ?max_iters:int -> ?budget:Mf_util.Budget.t -> ?fix:(var -> float option) -> t -> result
+  ?max_iters:int -> ?budget:Mf_util.Budget.t -> ?fix:(var * float) list -> t -> result
 (** [solve t] is [solve_b t] without the warm-start plumbing — kept for
     callers that need only the result. *)

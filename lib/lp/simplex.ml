@@ -8,7 +8,11 @@
    them transposed in reverse order to compute v B^-1.  Every
    [refactor_interval] fresh etas the file is rebuilt from the current
    basis by deterministic Gaussian elimination, bounding both drift and
-   the O(#etas) cost of each FTRAN/BTRAN.
+   the O(#etas) cost of each FTRAN/BTRAN.  The refactorisation is
+   hypersparse (it touches only each column's nonzeros), its scratch and
+   every row-length array of a solve come from a per-domain workspace, and
+   a warm start reuses the factorisation its sibling node computed for the
+   same parent basis.
 
    Determinism: pricing and both ratio tests break ties on the smallest
    column/basis index, and the refactorisation orders columns by
@@ -60,6 +64,98 @@ type info = {
 exception Singular of string
 
 type eta = { er : int; ei : int array; ev : float array }
+type factor = { f_basic : int array; f_etas : eta array }
+
+let no_eta = { er = 0; ei = [||]; ev = [||] }
+
+(* Per-domain scratch.  Every solve and every factorisation on a domain
+   draws its row-length arrays from here, so a warm branch-and-bound node
+   allocates none of them.  The row arrays are sized exactly [wm] and
+   reallocated together when the row count changes.  Between
+   factorisations [fw] is all zero, [inpat] all false and [row_eta] all
+   -1.  [last_*] hold the last fresh factorisation of a warm basis: the
+   two children of a branched node start from the same parent basis, and
+   the second one finds the first one's factorisation here. *)
+type work = {
+  mutable wm : int;
+  mutable xb : float array;
+  mutable y : float array;
+  mutable rho : float array;
+  mutable w : float array;
+  mutable r : float array;
+  mutable basic_w : int array;
+  mutable vstat_w : status array;
+  mutable etas_w : eta array;
+  mutable order : int array;
+  mutable fw : float array; (* the column being factorised *)
+  mutable inpat : bool array; (* row is in the column's nonzero pattern *)
+  mutable pat : int array; (* the pattern's rows, first [np] valid *)
+  mutable row_eta : int array; (* eta pivoting on each row, or -1 *)
+  mutable np : int;
+  mutable heap : int array; (* eta indices still to apply, a min-heap *)
+  mutable hn : int;
+  mutable last_problem : problem option;
+  mutable last_basic : int array;
+  mutable last_factor : factor option;
+}
+
+let new_work () =
+  {
+    wm = 0;
+    xb = [||];
+    y = [||];
+    rho = [||];
+    w = [||];
+    r = [||];
+    basic_w = [||];
+    vstat_w = [||];
+    etas_w = Array.make 32 no_eta;
+    order = [||];
+    fw = [||];
+    inpat = [||];
+    pat = [||];
+    row_eta = [||];
+    np = 0;
+    heap = [||];
+    hn = 0;
+    last_problem = None;
+    last_basic = [||];
+    last_factor = None;
+  }
+
+let ensure_rows ws m =
+  if ws.wm <> m then begin
+    ws.wm <- m;
+    ws.xb <- Array.make m 0.;
+    ws.y <- Array.make m 0.;
+    ws.rho <- Array.make m 0.;
+    ws.w <- Array.make m 0.;
+    ws.r <- Array.make m 0.;
+    ws.basic_w <- Array.make m 0;
+    ws.order <- Array.make m 0;
+    ws.fw <- Array.make m 0.;
+    ws.inpat <- Array.make m false;
+    ws.pat <- Array.make m 0;
+    ws.row_eta <- Array.make m (-1);
+    ws.heap <- Array.make m 0
+  end
+
+(* The domain's workspace is checked out for the length of one call, so
+   threads sharing a domain never share it: a call that finds the slot
+   empty works in a fresh workspace. *)
+let work_slot : work option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let with_work f =
+  let slot = Domain.DLS.get work_slot in
+  let ws = match Atomic.exchange slot None with Some ws -> ws | None -> new_work () in
+  match f ws with
+  | v ->
+    Atomic.set slot (Some ws);
+    v
+  | exception e ->
+    Atomic.set slot (Some ws);
+    raise e
 
 (* Working state for one simplex run.  [n] counts every column visible to
    this run — the caller's columns plus, on the cold path, one artificial
@@ -77,6 +173,7 @@ type core = {
   mutable etas : eta array; (* 0 .. n_etas-1 valid *)
   mutable n_etas : int;
   mutable fresh : int; (* etas pushed since the last factorisation *)
+  ws : work;
 }
 
 let nonbasic_value core j =
@@ -92,17 +189,33 @@ let push_eta core e =
   if core.n_etas = Array.length core.etas then begin
     let bigger = Array.make (max 32 (2 * core.n_etas)) e in
     Array.blit core.etas 0 bigger 0 core.n_etas;
-    core.etas <- bigger
+    core.etas <- bigger;
+    core.ws.etas_w <- bigger
   end;
   core.etas.(core.n_etas) <- e;
   core.n_etas <- core.n_etas + 1;
   core.fresh <- core.fresh + 1
 
-(* Eta absorbing pivot row [r] of the FTRANned column [w]: the stored
-   column is eta_r = 1/w_r, eta_i = -w_i/w_r, entries in row order. *)
+(* Entry of row [i] in the eta absorbing pivot row [r] of the FTRANned
+   column [w] — eta_r = 1/w_r, eta_i = -w_i/w_r, none where w_i = 0 —
+   written at position [p]; returns the next free position. *)
+let put_entry w ei ev r p i =
+  if i = r then begin
+    ei.(p) <- r;
+    ev.(p) <- 1. /. w.(r);
+    p + 1
+  end
+  else if w.(i) <> 0. then begin
+    ei.(p) <- i;
+    ev.(p) <- -.w.(i) /. w.(r);
+    p + 1
+  end
+  else p
+
+(* Eta absorbing pivot row [r] of the FTRANned column [w], entries in row
+   order. *)
 let eta_of (w : float array) r =
   let m = Array.length w in
-  let wr = w.(r) in
   let nnz = ref 1 in
   for i = 0 to m - 1 do
     if i <> r && w.(i) <> 0. then incr nnz
@@ -111,16 +224,7 @@ let eta_of (w : float array) r =
   let ev = Array.make !nnz 0. in
   let p = ref 0 in
   for i = 0 to m - 1 do
-    if i = r then begin
-      ei.(!p) <- r;
-      ev.(!p) <- 1. /. wr;
-      incr p
-    end
-    else if w.(i) <> 0. then begin
-      ei.(!p) <- i;
-      ev.(!p) <- -.w.(i) /. wr;
-      incr p
-    end
+    p := put_entry w ei ev r !p i
   done;
   { er = r; ei; ev }
 
@@ -169,56 +273,210 @@ let row_dot core rho j =
 (* ------------------------------------------------------------------ *)
 (* factorisation and derived quantities *)
 
-(* Rebuild the eta file from the current basis.  Columns enter in
-   (nnz, index) order; each is FTRANned through the etas built so far and
-   pivots on its largest-magnitude entry among still-unpivoted rows
-   (strict comparison: ties go to the smallest row).  Returns false when
-   the basis is numerically singular.  Row assignment may permute, so
-   callers must recompute [xb] afterwards. *)
-let factorize core =
+let heap_push ws e =
+  let h = ws.heap in
+  let i = ref ws.hn in
+  ws.hn <- ws.hn + 1;
+  while !i > 0 && h.((!i - 1) / 2) > e do
+    h.(!i) <- h.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  h.(!i) <- e
+
+let heap_pop ws =
+  let h = ws.heap in
+  let top = h.(0) in
+  ws.hn <- ws.hn - 1;
+  let n = ws.hn in
+  if n > 0 then begin
+    let last = h.(n) in
+    let i = ref 0 in
+    let settled = ref false in
+    while not !settled do
+      let l = (2 * !i) + 1 in
+      if l >= n then settled := true
+      else begin
+        let c = if l + 1 < n && h.(l + 1) < h.(l) then l + 1 else l in
+        if h.(c) < last then begin
+          h.(!i) <- h.(c);
+          i := c
+        end
+        else settled := true
+      end
+    done;
+    h.(!i) <- last
+  end;
+  top
+
+(* Add row [i] to the pattern of the column being factorised; its eta, if
+   it has one later than [after], still has to be applied. *)
+let enter_pattern ws i ~after =
+  if not ws.inpat.(i) then begin
+    ws.inpat.(i) <- true;
+    ws.pat.(ws.np) <- i;
+    ws.np <- ws.np + 1;
+    let e = ws.row_eta.(i) in
+    if e > after then heap_push ws e
+  end
+
+(* Fresh factorisation of the basis [basic] (row count = its length) of
+   the columns [cols].  Columns enter in (nnz, index) order; each is
+   FTRANned through the etas built so far and pivots on its
+   largest-magnitude entry among still-unpivoted rows, ties to the smallest
+   row.  Hypersparse: only the column's nonzero pattern is touched.  An eta
+   is applied when the column is nonzero in its pivot row, in increasing
+   eta order (a min-heap of pending eta indices, fed as rows enter the
+   pattern); the pivot search and the new eta walk the pattern.  Each
+   floating-point operation is the one a dense sweep over every eta and
+   every row performs, in the same order, so the etas are bit-identical to
+   it.  [None] when the basis is numerically singular. *)
+let factor ws cols basic =
   Atomic.incr Stats.refactors;
-  core.n_etas <- 0;
-  core.fresh <- 0;
-  let order = Array.copy core.basic in
-  Array.sort
-    (fun j1 j2 ->
-      let n1 = Array.length core.cols.(j1).idx
-      and n2 = Array.length core.cols.(j2).idx in
-      if n1 <> n2 then compare n1 n2 else compare j1 j2)
-    order;
-  let pivoted = Array.make core.m false in
-  let new_basic = Array.make core.m (-1) in
-  let w = Array.make core.m 0. in
+  Mf_util.Prof.time "lp.factorize" @@ fun () ->
+  let m = Array.length basic in
+  ensure_rows ws m;
+  let nc = Array.length cols in
+  let order = ws.order in
+  for i = 0 to m - 1 do
+    let j = basic.(i) in
+    order.(i) <- (Array.length cols.(j).idx * nc) + j
+  done;
+  Array.sort Int.compare order;
+  let fw = ws.fw and pat = ws.pat and row_eta = ws.row_eta in
+  let etas = Array.make m no_eta in
+  let new_basic = Array.make m (-1) in
   let ok = ref true in
   let k = ref 0 in
-  while !ok && !k < core.m do
-    let j = order.(!k) in
-    load_col core j w;
-    ftran core w;
+  let nnz_built = ref 0 in
+  while !ok && !k < m do
+    let j = order.(!k) mod nc in
+    let c = cols.(j) in
+    ws.np <- 0;
+    ws.hn <- 0;
+    for p = 0 to Array.length c.idx - 1 do
+      let i = c.idx.(p) in
+      fw.(i) <- c.v.(p);
+      enter_pattern ws i ~after:(-1)
+    done;
+    while ws.hn > 0 do
+      let e = heap_pop ws in
+      let eta = etas.(e) in
+      let t = fw.(eta.er) in
+      if t <> 0. then begin
+        fw.(eta.er) <- 0.;
+        let ei = eta.ei and ev = eta.ev in
+        for p = 0 to Array.length ei - 1 do
+          let i = ei.(p) in
+          fw.(i) <- fw.(i) +. (ev.(p) *. t);
+          enter_pattern ws i ~after:e
+        done
+      end
+    done;
     let r = ref (-1) in
     let best = ref 0. in
-    for i = 0 to core.m - 1 do
-      if not pivoted.(i) && abs_float w.(i) > !best then begin
-        best := abs_float w.(i);
-        r := i
+    let np = ws.np in
+    for q = 0 to np - 1 do
+      let i = pat.(q) in
+      if row_eta.(i) < 0 then begin
+        let a = abs_float fw.(i) in
+        if a > !best || (a = !best && a > 0. && i < !r) then begin
+          best := a;
+          r := i
+        end
       end
     done;
     if !best <= eps_singular then ok := false
     else begin
-      push_eta core (eta_of w !r);
-      pivoted.(!r) <- true;
-      new_basic.(!r) <- j;
+      let r = !r in
+      let nnz = ref 1 in
+      for q = 0 to np - 1 do
+        let i = pat.(q) in
+        if i <> r && fw.(i) <> 0. then incr nnz
+      done;
+      let ei = Array.make !nnz 0 in
+      let ev = Array.make !nnz 0. in
+      let p = ref 0 in
+      (* entries in row order: sort a short pattern, scan the rows for a
+         long one *)
+      if np * np <= m then begin
+        for q = 1 to np - 1 do
+          let i = pat.(q) in
+          let s = ref (q - 1) in
+          while !s >= 0 && pat.(!s) > i do
+            pat.(!s + 1) <- pat.(!s);
+            decr s
+          done;
+          pat.(!s + 1) <- i
+        done;
+        for q = 0 to np - 1 do
+          p := put_entry fw ei ev r !p pat.(q)
+        done
+      end
+      else
+        for i = 0 to m - 1 do
+          if ws.inpat.(i) then p := put_entry fw ei ev r !p i
+        done;
+      etas.(!k) <- { er = r; ei; ev };
+      nnz_built := !nnz_built + !nnz;
+      row_eta.(r) <- !k;
+      new_basic.(r) <- j;
       incr k
-    end
+    end;
+    for q = 0 to ws.np - 1 do
+      let i = pat.(q) in
+      fw.(i) <- 0.;
+      ws.inpat.(i) <- false
+    done
   done;
-  if !ok then Array.blit new_basic 0 core.basic 0 core.m;
+  Array.fill row_eta 0 m (-1);
+  Mf_util.Prof.add_count "lp.factorize" !nnz_built;
+  if !ok then Some { f_basic = new_basic; f_etas = etas } else None
+
+let factorize (p : problem) basic =
+  if Array.length basic <> p.m || Array.length p.cols <> p.n then
+    invalid_arg "Simplex.factorize: dimension mismatch";
+  let seen = Array.make p.n false in
+  Array.iter
+    (fun j ->
+      if j < 0 || j >= p.n || seen.(j) then invalid_arg "Simplex.factorize: bad basic set";
+      seen.(j) <- true;
+      let c = p.cols.(j) in
+      if Array.length c.idx <> Array.length c.v then
+        invalid_arg "Simplex.factorize: ragged column";
+      Array.iter
+        (fun i -> if i < 0 || i >= p.m then invalid_arg "Simplex.factorize: row out of range")
+        c.idx)
+    basic;
+  with_work (fun ws -> factor ws p.cols basic)
+
+(* Make [f] the core's eta file and row assignment.  The etas are shared
+   read-only; the ones pushed after them are the core's own. *)
+let load_factor core f =
+  let m = core.m in
+  if Array.length core.etas < m + 32 then begin
+    core.etas <- Array.make (2 * m + 32) no_eta;
+    core.ws.etas_w <- core.etas
+  end;
+  Array.blit f.f_etas 0 core.etas 0 m;
+  core.n_etas <- m;
+  Array.blit f.f_basic 0 core.basic 0 m;
   (* the factorisation's own etas are the baseline, not drift *)
-  core.fresh <- 0;
-  !ok
+  core.fresh <- 0
+
+(* Rebuild the eta file from the current basis.  Returns false when the
+   basis is numerically singular.  Row assignment may permute, so callers
+   must recompute [xb] afterwards. *)
+let factorize_core core =
+  match factor core.ws core.cols core.basic with
+  | Some f ->
+    load_factor core f;
+    true
+  | None -> false
 
 (* xb <- B^-1 (b - A_N x_N) *)
 let compute_xb core =
-  let r = Array.copy core.b in
+  let r = core.ws.r in
+  Array.blit core.b 0 r 0 core.m;
   for j = 0 to core.n - 1 do
     if core.vstat.(j) <> Basic then begin
       let x = nonbasic_value core j in
@@ -244,7 +502,7 @@ let reduced core c y j = c.(j) -. row_dot core y j
 
 let maybe_refactor core =
   if core.fresh >= refactor_interval then begin
-    if not (factorize core) then
+    if not (factorize_core core) then
       raise (Singular "Simplex: singular basis at refactorisation");
     compute_xb core
   end
@@ -356,8 +614,8 @@ let primal_step core j w =
 let primal_opt core ~c ~max_iters ~budget ~frozen ~spent =
   let iters = ref 0 in
   let bland_after = max 200 (4 * (core.m + core.n)) in
-  let y = Array.make core.m 0. in
-  let w = Array.make core.m 0. in
+  let y = core.ws.y in
+  let w = core.ws.w in
   let rec loop () =
     if !iters > max_iters then `Iter_limit
     else if !iters land 127 = 0 && Mf_util.Budget.over budget then `Iter_limit
@@ -393,9 +651,9 @@ let primal_opt core ~c ~max_iters ~budget ~frozen ~spent =
    ratio test; termination is guaranteed by [max_iters] with a cold
    fallback behind it. *)
 let dual_opt core ~c ~max_iters ~budget ~spent =
-  let y = Array.make core.m 0. in
-  let rho = Array.make core.m 0. in
-  let w = Array.make core.m 0. in
+  let y = core.ws.y in
+  let rho = core.ws.rho in
+  let w = core.ws.w in
   let iters = ref 0 in
   let rec loop () =
     if !iters > max_iters then `Iter_limit
@@ -538,8 +796,8 @@ let phase1_objective core ~n_structural =
    column of its tableau row; an artificial whose row has no usable pivot
    marks a redundant row and stays basic at zero, frozen in phase 2. *)
 let expel_artificials core ~n_structural =
-  let rho = Array.make core.m 0. in
-  let w = Array.make core.m 0. in
+  let rho = core.ws.rho in
+  let w = core.ws.w in
   let stuck = Array.make (core.n - n_structural) false in
   let find_artificial_row () =
     let found = ref (-1) in
@@ -588,7 +846,7 @@ let expel_artificials core ~n_structural =
   in
   go ()
 
-let solve_cold ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent_p =
+let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent_p =
   let m = problem.m in
   let n_structural = problem.n in
   let n = n_structural + m in
@@ -612,6 +870,10 @@ let solve_cold ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent_p 
           { idx = [| i |]; v = [| (if residual.(i) < 0. then -1. else 1.) |] }
         end)
   in
+  ensure_rows ws m;
+  for i = 0 to m - 1 do
+    ws.basic_w.(i) <- n_structural + i
+  done;
   let core =
     {
       m;
@@ -620,15 +882,16 @@ let solve_cold ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent_p 
       b = problem.b;
       lower = Array.append lower (Array.make m 0.);
       upper = Array.append upper (Array.make m infinity);
-      basic = Array.init m (fun i -> n_structural + i);
+      basic = ws.basic_w;
       vstat = Array.init n (fun j -> if j < n_structural then At_lower else Basic);
-      xb = Array.make m 0.;
-      etas = Array.make 16 { er = 0; ei = [||]; ev = [||] };
+      xb = ws.xb;
+      etas = ws.etas_w;
       n_etas = 0;
       fresh = 0;
+      ws;
     }
   in
-  if not (factorize core) then
+  if not (factorize_core core) then
     raise (Singular "Simplex: singular artificial basis (impossible)");
   compute_xb core;
   (* Phase 1: minimise the sum of artificials. *)
@@ -675,42 +938,76 @@ let basis_shape_ok ~m ~n (wb : basis) =
        !n_basic = m
      end
 
+let same_ints (a : int array) (b : int array) =
+  Array.length a = Array.length b
+  && begin
+       let i = ref 0 in
+       while !i < Array.length a && a.(!i) = b.(!i) do
+         incr i
+       done;
+       !i = Array.length a
+     end
+
+(* The fresh factorisation of the warm basis [basic] of [problem].  The
+   two children of a branched node bring the same parent basis, one after
+   the other, so the domain keeps its last one: keyed by the problem
+   (physically: the compiled model, hence its row count) and the basic
+   set, it is computed once and shared read-only. *)
+let warm_factor ws (problem : problem) basic =
+  match ws.last_problem with
+  | Some p when p == problem && same_ints ws.last_basic basic -> ws.last_factor
+  | _ ->
+    let f = factor ws problem.cols basic in
+    if Array.length ws.last_basic = Array.length basic then
+      Array.blit basic 0 ws.last_basic 0 (Array.length basic)
+    else ws.last_basic <- Array.copy basic;
+    ws.last_problem <- Some problem;
+    ws.last_factor <- f;
+    f
+
 (* Returns [Some (result, basis)] when the warm basis carried the solve to
    completion, [None] to request the cold fallback.  Never raises. *)
-let solve_warm ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : basis) ~spent_p
-    ~spent_d =
+let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : basis)
+    ~spent_p ~spent_d =
   let m = problem.m in
   let n = problem.n in
   if not (basis_shape_ok ~m ~n wb) then None
-  else begin
-    let core =
-      {
-        m;
-        n;
-        cols = problem.cols;
-        b = problem.b;
-        lower;
-        upper;
-        basic = Array.copy wb.basic;
-        vstat = Array.copy wb.vstat;
-        xb = Array.make m 0.;
-        etas = Array.make 16 { er = 0; ei = [||]; ev = [||] };
-        n_etas = 0;
-        fresh = 0;
-      }
-    in
-    match
-      if not (factorize core) then None
-      else begin
+  else
+    match warm_factor ws problem wb.basic with
+    | None -> None
+    | Some f -> (
+      ensure_rows ws m;
+      if Array.length ws.vstat_w <> n then ws.vstat_w <- Array.make n Basic;
+      Array.blit wb.vstat 0 ws.vstat_w 0 n;
+      let core =
+        {
+          m;
+          n;
+          cols = problem.cols;
+          b = problem.b;
+          lower;
+          upper;
+          basic = ws.basic_w;
+          vstat = ws.vstat_w;
+          xb = ws.xb;
+          etas = ws.etas_w;
+          n_etas = 0;
+          fresh = 0;
+          ws;
+        }
+      in
+      load_factor core f;
+      match
         (* normalise statuses stranded by bound changes, then repair dual
            feasibility: a wrong-sign reduced cost on a boxed column is fixed
            by flipping it to its other bound (primal feasibility is the dual
            simplex's job); on an unboxed column it is unrepairable *)
+        begin
         for j = 0 to n - 1 do
           if core.vstat.(j) = At_upper && core.upper.(j) = infinity then
             core.vstat.(j) <- At_lower
         done;
-        let y = Array.make m 0. in
+        let y = ws.y in
         compute_y core c y;
         let repairable = ref true in
         for j = 0 to n - 1 do
@@ -753,11 +1050,10 @@ let solve_warm ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : bas
               in
               Some (result, basis))
         end
-      end
-    with
-    | outcome -> outcome
-    | exception Singular _ -> None
-  end
+        end
+      with
+      | outcome -> outcome
+      | exception Singular _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* entry point *)
@@ -776,9 +1072,9 @@ let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
     let cj = problem.cols.(j) in
     if Array.length cj.idx <> Array.length cj.v then
       invalid_arg "Simplex.solve: ragged column";
-    Array.iter
-      (fun i -> if i < 0 || i >= m then invalid_arg "Simplex.solve: row out of range")
-      cj.idx
+    for p = 0 to Array.length cj.idx - 1 do
+      if cj.idx.(p) < 0 || cj.idx.(p) >= m then invalid_arg "Simplex.solve: row out of range"
+    done
   done;
   let max_iters =
     match max_iters with Some k -> k | None -> max 20_000 (200 * ((2 * m) + n))
@@ -788,8 +1084,9 @@ let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
   let max_iters = if Mf_util.Chaos.strike Simplex_iters then min max_iters 3 else max_iters in
   let spent_p = ref 0 in
   let spent_d = ref 0 in
+  with_work @@ fun ws ->
   let run_cold ~fell_back =
-    match solve_cold ~max_iters ~budget problem ~lower ~upper ~c ~spent_p with
+    match solve_cold ws ~max_iters ~budget problem ~lower ~upper ~c ~spent_p with
     | result, basis ->
       ( result,
         basis,
@@ -799,7 +1096,7 @@ let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
   match warm with
   | None -> run_cold ~fell_back:false
   | Some wb -> (
-    match solve_warm ~max_iters ~budget problem ~lower ~upper ~c wb ~spent_p ~spent_d with
+    match solve_warm ws ~max_iters ~budget problem ~lower ~upper ~c wb ~spent_p ~spent_d with
     | Some (result, basis) ->
       ( result,
         basis,

@@ -40,7 +40,9 @@ module Stats : sig
       basis, including warm attempts that fell back. *)
 
   val refactors : int Atomic.t
-  (** Basis refactorisations (initial factorisations included). *)
+  (** Basis refactorisations (initial factorisations included).  A warm
+      start that reuses the factorisation its sibling node computed for the
+      same parent basis on the same domain adds none. *)
 
   val reset : unit -> unit
 
@@ -66,6 +68,28 @@ type basis = { basic : int array; vstat : status array }
     [i]; [vstat] records every column's status.  Only returned for proven
     optimal, artificial-free solutions, so a stored basis is always
     factorisable in exact arithmetic. *)
+
+type eta = { er : int; ei : int array; ev : float array }
+(** One elementary column transform of the product-form inverse: applied
+    to a vector [v], it replaces [v.(er)] by 0 and adds [ev.(p) *. t] to
+    [v.(ei.(p))] for every entry [p], where [t] is the old [v.(er)].  The
+    entries are in row order and include [er] itself. *)
+
+type factor = { f_basic : int array; f_etas : eta array }
+(** A fresh factorisation of a basis: [f_basic.(i)] is the column that
+    pivots on row [i], and applying [f_etas] in order computes [B^-1 v]. *)
+
+val factorize : problem -> int array -> factor option
+(** [factorize problem basic] factorises the basis made of the columns
+    [basic] (one per row, distinct), or returns [None] when it is
+    numerically singular.  Columns enter in (nnz, index) order; each one,
+    FTRANned through the etas so far, pivots on its largest-magnitude entry
+    among the rows not yet pivoted, ties to the smallest row.  The work
+    walks only the nonzeros of each column, and every eta is bit-identical
+    to the one a dense sweep over all rows and all etas would build.  A
+    pure function of its arguments (it bumps {!Stats.refactors}); the
+    simplex refactorises its bases with it.  Raises [Invalid_argument] on a
+    malformed basic set. *)
 
 type info = {
   primal_pivots : int;  (** primal pivots spent by this solve *)

@@ -317,7 +317,7 @@ let unshare faults0 ~missing ~src_port ~dst_port aug scheme =
 (* ------------------------------------------------------------------ *)
 (* Checkpointing *)
 
-let snapshot_magic = "mfdft-repair-checkpoint-v1"
+let snapshot_magic = "mfdft-repair-checkpoint-v2"
 
 type snapshot = {
   ck_magic : string;

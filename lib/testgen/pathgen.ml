@@ -6,6 +6,15 @@ module Bitset = Mf_util.Bitset
 module Union_find = Mf_util.Union_find
 module Ilp = Mf_ilp.Ilp
 
+type attempt = {
+  k : int;
+  outcome : [ `Optimal | `Feasible | `Infeasible | `Node_limit | `Failed ];
+  nodes : int;
+  root_bound : float;
+  best_bound : float;
+  primed_bound : float;
+}
+
 type config = {
   src_port : int;
   dst_port : int;
@@ -15,6 +24,7 @@ type config = {
   ilp_nodes : int;
   loop_cuts : int;
   solver : Ilp.run_stats;
+  attempts : attempt list;
   degraded : bool;
 }
 
@@ -341,6 +351,7 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
   let total_nodes = ref 0 in
   let total_cuts = ref 0 in
   let total_stats = ref Ilp.zero_stats in
+  let attempts = ref [] (* reversed *) in
   let heuristic =
     Mf_util.Prof.time "pathgen.heuristic" (fun () ->
         heuristic_cover chip ~weights ~s_node ~t_node)
@@ -350,11 +361,11 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
     | None -> infinity
     | Some (_, added) -> List.fold_left (fun acc e -> acc +. weights e) 0. added
   in
-  let heuristic_config k =
+  let primed_bound = heuristic_cost +. 1e-6 in
+  let heuristic_config () =
     match heuristic with
     | None -> None
     | Some (paths, added) ->
-      ignore k;
       Some
         {
           src_port;
@@ -365,12 +376,13 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
           ilp_nodes = !total_nodes;
           loop_cuts = !total_cuts;
           solver = !total_stats;
+          attempts = List.rev !attempts;
           degraded = true;
         }
   in
   let rec attempt k =
     if k > max_paths || !total_nodes >= node_limit || Mf_util.Budget.over budget then begin
-      match heuristic_config k with
+      match heuristic_config () with
       | Some config -> Ok config
       | None ->
         Error
@@ -402,7 +414,7 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
       let outcome =
         Mf_util.Prof.time "pathgen.ilp_solve" (fun () ->
             Ilp.solve ~node_limit:(max 100 attempt_budget) ?budget ~lazy_cuts ~branch_priority
-              ~upper_bound:(heuristic_cost +. 1e-6) ~warm ?presolve ?cuts ?pool model.ilp)
+              ~upper_bound:primed_bound ~warm ?presolve ?cuts ?pool model.ilp)
       in
       total_cuts := !total_cuts + !n_cuts;
       total_nodes := !total_nodes + Ilp.nodes_explored model.ilp;
@@ -410,6 +422,22 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
       total_stats := Ilp.add_stats !total_stats st;
       Mf_util.Prof.add_count "pathgen.ilp_solve" st.Ilp.rs_nodes;
       Mf_util.Prof.add_count "lp.pivots" (st.Ilp.rs_primal_pivots + st.Ilp.rs_dual_pivots);
+      attempts :=
+        {
+          k;
+          outcome =
+            (match outcome with
+             | Ilp.Optimal _ -> `Optimal
+             | Ilp.Feasible _ -> `Feasible
+             | Ilp.Infeasible -> `Infeasible
+             | Ilp.Node_limit -> `Node_limit
+             | Ilp.Failed _ -> `Failed);
+          nodes = st.Ilp.rs_nodes;
+          root_bound = st.Ilp.rs_root_bound;
+          best_bound = st.Ilp.rs_best_bound;
+          primed_bound;
+        }
+        :: !attempts;
       match outcome with
       | Ilp.Optimal sol | Ilp.Feasible sol ->
         let paths = extract_paths chip model ~s_node ~t_node sol in
@@ -429,6 +457,7 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
             ilp_nodes = !total_nodes;
             loop_cuts = !total_cuts;
             solver = !total_stats;
+            attempts = List.rev !attempts;
             degraded = false;
           }
       | Ilp.Infeasible | Ilp.Node_limit -> attempt (k + 1)

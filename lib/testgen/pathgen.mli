@@ -7,6 +7,20 @@
     from the source port to the meter port jointly cover every original
     channel edge. *)
 
+type attempt = {
+  k : int;  (** path count of this attempt *)
+  outcome : [ `Optimal | `Feasible | `Infeasible | `Node_limit | `Failed ];
+      (** the branch-and-bound outcome.  [`Infeasible] means no [k]-path
+          design beats [primed_bound], i.e. the greedy cover *)
+  nodes : int;  (** B&B nodes the attempt explored *)
+  root_bound : float;  (** {!Mf_ilp.Ilp.run_stats.rs_root_bound} *)
+  best_bound : float;  (** {!Mf_ilp.Ilp.run_stats.rs_best_bound} *)
+  primed_bound : float;
+      (** the incumbent objective the search was primed with: the greedy
+          cover's cost plus 1e-6 ([infinity] without one) *)
+}
+(** One per-[k] ILP attempt of {!generate}: what it did and what it proved. *)
+
 type config = {
   src_port : int;  (** port id of the pressure source *)
   dst_port : int;  (** port id of the pressure meter *)
@@ -18,6 +32,9 @@ type config = {
   solver : Mf_ilp.Ilp.run_stats;
       (** LP-core effort aggregated over every branch-and-bound run behind
           this configuration (warm starts, cache hits, pivots) *)
+  attempts : attempt list;
+      (** every ILP attempt behind this configuration, in [k] order; empty
+          when no ILP ran ([node_limit:0]) *)
   degraded : bool;
       (** [true] when the configuration came from the greedy heuristic
           fallback (ILP budget exhausted) rather than the ILP itself *)

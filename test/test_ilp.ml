@@ -108,6 +108,35 @@ let test_node_limit () =
    | Ilp.Optimal _ | Ilp.Infeasible | Ilp.Failed _ -> Alcotest.fail "expected truncation");
   check Alcotest.bool "nodes counted" true (Ilp.nodes_explored ilp >= 1)
 
+(* the root bound is the first relaxation's objective; the best bound is
+   the least open-node bound, +infinity once the search closed *)
+let test_bounds () =
+  let ilp = Ilp.create () in
+  let a = Ilp.add_binary ~obj:1. ilp in
+  let b = Ilp.add_binary ~obj:1. ilp in
+  Ilp.add_row ilp [ (2., a); (2., b) ] Ilp.Ge 3.;
+  (match Ilp.solve ~presolve:false ~cuts:false ilp with
+   | Ilp.Optimal s -> check feps "optimum" 2. s.objective
+   | _ -> Alcotest.fail "expected optimal");
+  let st = Ilp.last_stats ilp in
+  check feps "root bound" 1.5 st.Ilp.rs_root_bound;
+  check Alcotest.bool "closed" true (st.Ilp.rs_best_bound = infinity);
+  let ilp = Ilp.create () in
+  let vars = List.init 12 (fun _ -> Ilp.add_binary ~obj:1. ilp) in
+  Ilp.add_row ilp (List.map (fun v -> (1., v)) vars) Ilp.Ge 6.5;
+  ignore (Ilp.solve ~node_limit:3 ~presolve:false ~cuts:false ilp);
+  let st = Ilp.last_stats ilp in
+  check feps "truncated root bound" 6.5 st.Ilp.rs_root_bound;
+  check Alcotest.bool "open nodes bound the optimum" true
+    (st.Ilp.rs_best_bound >= st.Ilp.rs_root_bound && st.Ilp.rs_best_bound <= 7.);
+  let ilp = Ilp.create () in
+  let a = Ilp.add_binary ilp in
+  Ilp.add_row ilp [ (1., a) ] Ilp.Ge 2.;
+  ignore (Ilp.solve ~presolve:false ilp);
+  let st = Ilp.last_stats ilp in
+  check Alcotest.bool "infeasible root" true
+    (st.Ilp.rs_root_bound = infinity && st.Ilp.rs_best_bound = infinity)
+
 let test_equality_row () =
   let ilp = Ilp.create () in
   let a = Ilp.add_binary ~obj:(-3.) ilp in
@@ -324,6 +353,7 @@ let () =
           Alcotest.test_case "upper bound pruning" `Quick test_upper_bound_prunes;
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "equality row" `Quick test_equality_row;
+          Alcotest.test_case "root and best bounds" `Quick test_bounds;
           qt random_cover_prop;
         ] );
       ( "parallel differential",

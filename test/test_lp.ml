@@ -78,7 +78,7 @@ let test_fixing () =
   let x = Lp.add_var ~upper:1. ~obj:(-1.) lp in
   let y = Lp.add_var ~upper:1. ~obj:(-1.) lp in
   Lp.add_row lp [ (1., x); (1., y) ] Lp.Le 2.;
-  let fix v = if v = x then Some 0. else None in
+  let fix = [ (x, 0.) ] in
   (match Lp.solve ~fix lp with
    | Lp.Optimal { objective; values } ->
      check feps "x fixed" 0. values.(x);
@@ -192,7 +192,11 @@ let warm_cold_prop =
       | Lp.Optimal _, Some parent, _ ->
         (* a branching step: clamp a few variables to 0/1 *)
         let fixed = Array.init n (fun _ -> if Rng.int rng 3 = 0 then Some (float_of_int (Rng.int rng 2)) else None) in
-        let fix v = Array.to_list (Array.mapi (fun j var -> (var, fixed.(j))) vars) |> List.assoc v in
+        let fix =
+          List.filter_map
+            (fun (var, x) -> Option.map (fun x -> (var, x)) x)
+            (Array.to_list (Array.mapi (fun j var -> (var, fixed.(j))) vars))
+        in
         (* half the time, also append a cut row (basis extension path) *)
         if Rng.bool rng then begin
           let coefs = Array.init n (fun _ -> Rng.float rng 2.) in
@@ -211,6 +215,158 @@ let warm_cold_prop =
         end
       | (Lp.Infeasible | Lp.Numerical _), _, _ -> true (* nothing to warm-start *)
       | _ -> false)
+
+(* The dense refactorisation the simplex ran before the hypersparse one:
+   every eta visited in each FTRAN, every row scanned for the pivot and
+   again for the eta.  [Simplex.factorize] must reproduce it bit for bit. *)
+let dense_factor (p : Simplex.problem) basic =
+  let m = p.Simplex.m and cols = p.Simplex.cols in
+  let order = Array.copy basic in
+  Array.sort
+    (fun j1 j2 ->
+      let n1 = Array.length cols.(j1).Simplex.idx and n2 = Array.length cols.(j2).Simplex.idx in
+      if n1 <> n2 then compare n1 n2 else compare j1 j2)
+    order;
+  let etas = ref [] in
+  let ftran w =
+    List.iter
+      (fun (e : Simplex.eta) ->
+        let t = w.(e.er) in
+        if t <> 0. then begin
+          w.(e.er) <- 0.;
+          Array.iteri (fun p i -> w.(i) <- w.(i) +. (e.ev.(p) *. t)) e.ei
+        end)
+      (List.rev !etas)
+  in
+  let pivoted = Array.make m false in
+  let new_basic = Array.make m (-1) in
+  let w = Array.make m 0. in
+  let ok = ref true in
+  let k = ref 0 in
+  while !ok && !k < m do
+    let j = order.(!k) in
+    Array.fill w 0 m 0.;
+    Array.iteri (fun p i -> w.(i) <- cols.(j).Simplex.v.(p)) cols.(j).Simplex.idx;
+    ftran w;
+    let r = ref (-1) and best = ref 0. in
+    for i = 0 to m - 1 do
+      if (not pivoted.(i)) && abs_float w.(i) > !best then begin
+        best := abs_float w.(i);
+        r := i
+      end
+    done;
+    if !best <= 1e-10 then ok := false
+    else begin
+      let r = !r in
+      let entries = ref [] in
+      for i = m - 1 downto 0 do
+        if i = r then entries := (r, 1. /. w.(r)) :: !entries
+        else if w.(i) <> 0. then entries := (i, -.w.(i) /. w.(r)) :: !entries
+      done;
+      let ei = Array.of_list (List.map fst !entries) in
+      let ev = Array.of_list (List.map snd !entries) in
+      etas := { Simplex.er = r; ei; ev } :: !etas;
+      pivoted.(r) <- true;
+      new_basic.(r) <- j;
+      incr k
+    end
+  done;
+  if !ok then Some { Simplex.f_basic = new_basic; f_etas = Array.of_list (List.rev !etas) }
+  else None
+
+(* Random sparse bases over small integer and half-integer coefficients:
+   equal magnitudes make pivot ties, explicit zeros sit in the patterns,
+   and a basic column made a copy, a negation or a sum of others makes
+   the basis singular through exact cancellation. *)
+let random_basis seed =
+  let rng = Rng.create ~seed in
+  let m = 1 + Rng.int rng 12 in
+  let n = m + Rng.int rng 6 in
+  let values = [| 1.; -1.; 2.; -2.; 0.5; -0.5; 0.; 3. |] in
+  let column () =
+    let rows = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init m Fun.id) in
+    let rows = if rows = [] && Rng.int rng 4 > 0 then [ Rng.int rng m ] else rows in
+    let idx = Array.of_list rows in
+    { Simplex.idx; v = Array.map (fun _ -> values.(Rng.int rng (Array.length values))) idx }
+  in
+  let cols = Array.init n (fun _ -> column ()) in
+  (* the basic set: m distinct columns, the first m after a shuffle *)
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let s = Rng.int rng (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(s);
+    perm.(s) <- x
+  done;
+  let basic = Array.sub perm 0 m in
+  (if m >= 3 then
+     let a = cols.(basic.(0)) and b = cols.(basic.(1)) in
+     let dense c =
+       let d = Array.make m 0. in
+       Array.iteri (fun p i -> d.(i) <- c.Simplex.v.(p)) c.Simplex.idx;
+       d
+     in
+     let da = dense a and db = dense b in
+     let combine f =
+       let d = Array.init m (fun i -> f da.(i) db.(i)) in
+       let rows = List.filter (fun i -> d.(i) <> 0.) (List.init m Fun.id) in
+       let idx = Array.of_list rows in
+       { Simplex.idx; v = Array.map (fun i -> d.(i)) idx }
+     in
+     match Rng.int rng 5 with
+     | 0 -> cols.(basic.(2)) <- combine (fun x _ -> x)
+     | 1 -> cols.(basic.(2)) <- combine (fun x _ -> -.x)
+     | 2 -> cols.(basic.(2)) <- combine (fun x y -> x +. y)
+     | _ -> ());
+  ({ Simplex.m; n; cols; b = Array.make m 0. }, basic)
+
+let same_factor (a : Simplex.factor option) (b : Simplex.factor option) =
+  let bits x = Int64.bits_of_float x in
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    a.f_basic = b.f_basic
+    && Array.length a.f_etas = Array.length b.f_etas
+    && Array.for_all2
+         (fun (x : Simplex.eta) (y : Simplex.eta) ->
+           x.er = y.er && x.ei = y.ei
+           && Array.length x.ev = Array.length y.ev
+           && Array.for_all2 (fun u v -> bits u = bits v) x.ev y.ev)
+         a.f_etas b.f_etas
+  | _ -> false
+
+let factorize_prop =
+  QCheck.Test.make ~name:"hypersparse factorize = dense reference, bit for bit" ~count:1000
+    QCheck.int (fun seed ->
+      let p, basic = random_basis (abs seed) in
+      same_factor (Simplex.factorize p basic) (dense_factor p basic))
+
+(* the generator reaches both outcomes, and ties among the pivots *)
+let test_factorize_cases () =
+  let singular = ref 0 and regular = ref 0 in
+  for seed = 0 to 399 do
+    let p, basic = random_basis seed in
+    match Simplex.factorize p basic with
+    | None -> incr singular
+    | Some _ -> incr regular
+  done;
+  check Alcotest.bool "singular bases generated" true (!singular >= 40);
+  check Alcotest.bool "regular bases generated" true (!regular >= 40);
+  (* two equal pivot candidates: the smallest row wins *)
+  let p =
+    {
+      Simplex.m = 2;
+      n = 2;
+      cols =
+        [| { Simplex.idx = [| 0; 1 |]; v = [| 2.; -2. |] }; { idx = [| 0; 1 |]; v = [| 1.; 3. |] } |];
+      b = [| 0.; 0. |];
+    }
+  in
+  match Simplex.factorize p [| 1; 0 |] with
+  | None -> Alcotest.fail "regular basis reported singular"
+  | Some f ->
+    check Alcotest.(array int) "tie to the smallest row" [| 0; 1 |] f.f_basic;
+    check Alcotest.bool "same as dense" true (same_factor (Some f) (dense_factor p [| 1; 0 |]))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in
@@ -232,7 +388,9 @@ let () =
           Alcotest.test_case "duplicate terms" `Quick test_duplicate_terms;
           Alcotest.test_case "set_obj" `Quick test_set_obj;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
+          Alcotest.test_case "factorize cases" `Quick test_factorize_cases;
           qt random_lp_prop;
           qt warm_cold_prop;
+          qt factorize_prop;
         ] );
     ]

@@ -104,6 +104,36 @@ let test_pathgen_warm_vs_cold () =
       && c.Pathgen.solver.Mf_ilp.Ilp.rs_dual_pivots = 0)
   | (Error f, _ | _, Error f) -> Alcotest.fail (Mf_util.Fail.to_string f)
 
+(* every per-k attempt is recorded, in k order, with the nodes it spent *)
+let test_pathgen_attempts () =
+  let chip = fig4_chip () in
+  match (Pathgen.generate chip, Pathgen.generate ~node_limit:0 chip) with
+  | Ok c, Ok greedy ->
+    let ks = List.map (fun (a : Pathgen.attempt) -> a.k) c.Pathgen.attempts in
+    check
+      Alcotest.(list int)
+      "k from 2 up to n_paths"
+      (List.init (c.Pathgen.n_paths - 1) (fun i -> i + 2))
+      ks;
+    check Alcotest.int "nodes add up" c.Pathgen.ilp_nodes
+      (List.fold_left (fun acc (a : Pathgen.attempt) -> acc + a.nodes) 0 c.Pathgen.attempts);
+    List.iter
+      (fun (a : Pathgen.attempt) ->
+        check Alcotest.bool "root bound below the best bound" true
+          (a.root_bound <= a.best_bound +. 1e-9);
+        match a.outcome with
+        | `Infeasible | `Optimal ->
+          check Alcotest.bool "closed search" true (a.best_bound = infinity)
+        | `Feasible | `Node_limit | `Failed -> ())
+      c.Pathgen.attempts;
+    (match List.rev c.Pathgen.attempts with
+     | last :: _ when not c.Pathgen.degraded ->
+       check Alcotest.bool "the shipped k succeeded" true
+         (last.outcome = `Optimal || last.outcome = `Feasible)
+     | _ -> ());
+    check Alcotest.int "no ILP at node_limit 0" 0 (List.length greedy.Pathgen.attempts)
+  | (Error f, _ | _, Error f) -> Alcotest.fail (Mf_util.Fail.to_string f)
+
 let test_cutgen_fig4 () =
   let chip = fig4_chip () in
   match Pathgen.generate chip with
@@ -248,6 +278,7 @@ let () =
           Alcotest.test_case "paths end at meter" `Quick test_pathgen_paths_end_at_meter;
           Alcotest.test_case "warm vs cold LP core" `Slow test_pathgen_warm_vs_cold;
           Alcotest.test_case "same port rejected" `Quick test_generate_rejects_same_port;
+          Alcotest.test_case "per-k attempts" `Quick test_pathgen_attempts;
         ] );
       ( "cutgen",
         [
