@@ -205,13 +205,12 @@ let bound_store cache key b =
    budget would diverge), the outer swarm state, the root rng (it is split
    once per particle per iteration inside [outer_batch]), the running best
    (as an index into the pool's entries), the fitness memo (the no-PSO
-   baseline scans it) and the evaluation counter.  Plain data only, so
-   [Marshal] round-trips it; loadable by binaries built from the same
-   sources. *)
-let snapshot_magic = "mfdft-codesign-checkpoint-v4"
+   baseline scans it) and the evaluation counter.  Plain data only, saved
+   with [Mf_util.Snapshot.save]; loadable by binaries built from the same
+   sources, so the magic is bumped whenever this type changes. *)
+let snapshot_magic = "mfdft-codesign-checkpoint-v5"
 
 type snapshot = {
-  ck_magic : string;
   ck_seed : int;
   ck_particles : int;
   ck_iterations : int;
@@ -223,40 +222,27 @@ type snapshot = {
   ck_evals : int;
 }
 
-let save_snapshot path (snap : snapshot) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Marshal.to_channel oc snap [];
-  close_out oc;
-  Sys.rename tmp path
-
 let load_snapshot ~seed ~outer path : (snapshot, Mf_util.Fail.t) Stdlib.result =
   let fail reason = Error (Mf_util.Fail.v Mf_util.Fail.Codesign reason) in
-  match open_in_bin path with
-  | exception Sys_error msg -> fail (Printf.sprintf "cannot read checkpoint: %s" msg)
-  | ic ->
-    let snap =
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          match (Marshal.from_channel ic : snapshot) with
-          | snap -> Ok snap
-          | exception (Failure _ | End_of_file) -> Error ())
-    in
-    (match snap with
-     | Error () -> fail (Printf.sprintf "corrupt or truncated checkpoint %s" path)
-     | Ok snap ->
-       if snap.ck_magic <> snapshot_magic then
-         fail (Printf.sprintf "%s is not a codesign checkpoint" path)
-       else if
-         snap.ck_seed <> seed
-         || snap.ck_particles <> outer.Pso.particles
-         || snap.ck_iterations <> outer.Pso.iterations
-       then
-         fail
-           (Printf.sprintf
-              "checkpoint %s was taken with different codesign parameters (seed %d, %d \
-               particles, %d iterations)"
-              path snap.ck_seed snap.ck_particles snap.ck_iterations)
-       else Ok snap)
+  match (Mf_util.Snapshot.load ~magic:snapshot_magic path : (snapshot, _) Stdlib.result) with
+  | Error e ->
+    fail
+      (Printf.sprintf "cannot resume: checkpoint %s %s" path (Mf_util.Snapshot.error_message e))
+  | Ok snap ->
+    if
+      snap.ck_seed <> seed
+      || snap.ck_particles <> outer.Pso.particles
+      || snap.ck_iterations <> outer.Pso.iterations
+    then
+      fail
+        (Printf.sprintf
+           "checkpoint %s was taken with different codesign parameters (seed %d, %d \
+            particles, %d iterations)"
+           path snap.ck_seed snap.ck_particles snap.ck_iterations)
+    else Ok snap
+
+let check_checkpoint ~params path =
+  Result.map ignore (load_snapshot ~seed:params.seed ~outer:params.outer path)
 
 (* Fitness shaping: schemes whose test program cannot be completed are
    penalised by how many faults escape; schemes that deadlock the
@@ -370,14 +356,7 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
   let resume_snap =
     match checkpoint with
     | Some ck when ck.resume ->
-      if not (Sys.file_exists ck.path) then
-        Error
-          (Mf_util.Fail.v Mf_util.Fail.Codesign
-             (Printf.sprintf "cannot resume: checkpoint %s does not exist" ck.path))
-      else (
-        match load_snapshot ~seed:params.seed ~outer:params.outer ck.path with
-        | Ok snap -> Ok (Some snap)
-        | Error f -> Error f)
+      Result.map Option.some (load_snapshot ~seed:params.seed ~outer:params.outer ck.path)
     | _ -> Ok None
   in
   match resume_snap with
@@ -491,7 +470,6 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
        Rng.blit ~src:snap.ck_root_rng ~dst:rng);
     let snapshot_of pso_state =
       {
-        ck_magic = snapshot_magic;
         ck_seed = params.seed;
         ck_particles = params.outer.Pso.particles;
         ck_iterations = params.outer.Pso.iterations;
@@ -529,7 +507,7 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
                  || (ck.every > 0 && it mod ck.every = 0)
                  || it = params.outer.Pso.iterations
                in
-               if due then save_snapshot ck.path (snapshot_of state));
+               if due then Mf_util.Snapshot.save ~magic:snapshot_magic ck.path (snapshot_of state));
             if stop_here then raise (Stop_after_checkpoint it))
     in
     let outcome =

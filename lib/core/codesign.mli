@@ -93,10 +93,10 @@ val invalid_threshold : float
     application; values below it are plain makespans. *)
 
 type checkpoint = {
-  path : string;  (** snapshot file, written atomically (tmp + rename) *)
+  path : string;  (** snapshot file ({!Mf_util.Snapshot}: digest-checked, atomic) *)
   every : int;  (** save after every [every] outer iterations; [0] = only on stop/finish *)
   resume : bool;
-      (** load [path] first and continue from it; a missing, truncated or
+      (** load [path] first and continue from it; a missing, damaged or
           mismatched file is a typed error, never a silent fresh start *)
   stop_after : int option;
       (** save and abort (with a typed error naming the checkpoint) after
@@ -151,6 +151,11 @@ val run :
     finishes bit-identical to the uninterrupted run.  Hard failures
     ([Error]) carry the failing stage, budget consumed and best incumbent
     ({!Mf_util.Fail.t}). *)
+
+val check_checkpoint : params:params -> string -> (unit, Mf_util.Fail.t) Stdlib.result
+(** [check_checkpoint ~params path] is the refusal [run ~params] would
+    give when resuming from [path], without running: [Ok ()] when the
+    snapshot verifies and was taken with the same seed and outer swarm. *)
 
 val certificate : result -> Mf_verify.Cert.t
 (** The run's claims (suite, vector count, re-measured stuck-at coverage on

@@ -315,74 +315,15 @@ let unshare faults0 ~missing ~src_port ~dst_port aug scheme =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing *)
-
-let snapshot_magic = "mfdft-repair-checkpoint-v2"
-
-type snapshot = {
-  ck_magic : string;
-  ck_seed : int;
-  ck_node_limit : int;
-  ck_max_rounds : int;
-  ck_round : int;
-  ck_chip : Chip.t;
-  ck_suite : Vectors.t;
-  ck_faults : Fault.t list;
-  ck_unshared : int option; (* sharing assignments dropped, when unsharing ran *)
-  ck_full : bool;
-  ck_greedy : bool;
-  ck_damaged : int;
-  ck_added : int;
-  ck_candidates : int;
-  ck_solver : Ilp.run_stats;
-}
-
-let save_snapshot path (snap : snapshot) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Marshal.to_channel oc snap [];
-  close_out oc;
-  Sys.rename tmp path
-
-let load_snapshot ~params path : (snapshot, Fail.t) Stdlib.result =
-  let fail reason = Error (Fail.v Fail.Repair reason) in
-  match open_in_bin path with
-  | exception Sys_error msg -> fail (Printf.sprintf "cannot read checkpoint: %s" msg)
-  | ic ->
-    let snap =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match (Marshal.from_channel ic : snapshot) with
-          | snap -> Ok snap
-          | exception (Failure _ | End_of_file) -> Error ())
-    in
-    (match snap with
-     | Error () -> fail (Printf.sprintf "corrupt or truncated checkpoint %s" path)
-     | Ok snap ->
-       if snap.ck_magic <> snapshot_magic then
-         fail (Printf.sprintf "%s is not a repair checkpoint" path)
-       else if
-         snap.ck_seed <> params.seed
-         || snap.ck_node_limit <> params.node_limit
-         || snap.ck_max_rounds <> params.max_rounds
-       then
-         fail
-           (Printf.sprintf
-              "checkpoint %s was taken with different repair parameters (seed %d, node \
-               limit %d, max rounds %d)"
-              path snap.ck_seed snap.ck_node_limit snap.ck_max_rounds)
-       else Ok snap)
-
-(* ------------------------------------------------------------------ *)
-(* The engine *)
+(* Checkpointing: the state between rounds, with the parameters it was
+   taken under *)
 
 type state = {
   st_round : int; (* completed rounds *)
   st_chip : Chip.t;
   st_suite : Vectors.t;
   st_faults : Fault.t list;
-  st_unshared : int option;
+  st_unshared : int option; (* sharing assignments dropped, when unsharing ran *)
   st_full : bool;
   st_greedy : bool;
   st_damaged : int;
@@ -391,39 +332,31 @@ type state = {
   st_solver : Ilp.run_stats;
 }
 
-let snapshot_of_state st =
-  {
-    ck_magic = snapshot_magic;
-    ck_seed = 0;
-    ck_node_limit = 0;
-    ck_max_rounds = 0;
-    ck_round = st.st_round;
-    ck_chip = st.st_chip;
-    ck_suite = st.st_suite;
-    ck_faults = st.st_faults;
-    ck_unshared = st.st_unshared;
-    ck_full = st.st_full;
-    ck_greedy = st.st_greedy;
-    ck_damaged = st.st_damaged;
-    ck_added = st.st_added;
-    ck_candidates = st.st_candidates;
-    ck_solver = st.st_solver;
-  }
+let snapshot_magic = "mfdft-repair-checkpoint-v3"
 
-let state_of_snapshot ck =
-  {
-    st_round = ck.ck_round;
-    st_chip = ck.ck_chip;
-    st_suite = ck.ck_suite;
-    st_faults = ck.ck_faults;
-    st_unshared = ck.ck_unshared;
-    st_full = ck.ck_full;
-    st_greedy = ck.ck_greedy;
-    st_damaged = ck.ck_damaged;
-    st_added = ck.ck_added;
-    st_candidates = ck.ck_candidates;
-    st_solver = ck.ck_solver;
-  }
+type snapshot = { ck_seed : int; ck_node_limit : int; ck_max_rounds : int; ck_state : state }
+
+let load_state ~params path : (state, Fail.t) Stdlib.result =
+  let fail reason = Error (Fail.v Fail.Repair reason) in
+  match (Mf_util.Snapshot.load ~magic:snapshot_magic path : (snapshot, _) Stdlib.result) with
+  | Error e ->
+    fail
+      (Printf.sprintf "cannot resume: checkpoint %s %s" path (Mf_util.Snapshot.error_message e))
+  | Ok snap ->
+    if
+      snap.ck_seed <> params.seed
+      || snap.ck_node_limit <> params.node_limit
+      || snap.ck_max_rounds <> params.max_rounds
+    then
+      fail
+        (Printf.sprintf
+           "checkpoint %s was taken with different repair parameters (seed %d, node \
+            limit %d, max rounds %d)"
+           path snap.ck_seed snap.ck_node_limit snap.ck_max_rounds)
+    else Ok snap.ck_state
+
+(* ------------------------------------------------------------------ *)
+(* The engine *)
 
 let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_faults
     chip0 (suite0 : Vectors.t) faults0 =
@@ -433,13 +366,7 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
   else begin
     let resume_state =
       match checkpoint with
-      | Some ck when ck.resume ->
-        if not (Sys.file_exists ck.path) then
-          failf "cannot resume: checkpoint %s does not exist" ck.path
-        else (
-          match load_snapshot ~params ck.path with
-          | Ok snap -> Ok (Some (state_of_snapshot snap))
-          | Error f -> Error f)
+      | Some ck when ck.resume -> Result.map Option.some (load_state ~params ck.path)
       | _ -> Ok None
     in
     match resume_state with
@@ -449,12 +376,12 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
         match checkpoint with
         | None -> ()
         | Some ck ->
-          save_snapshot ck.path
+          Mf_util.Snapshot.save ~magic:snapshot_magic ck.path
             {
-              (snapshot_of_state st) with
               ck_seed = params.seed;
               ck_node_limit = params.node_limit;
               ck_max_rounds = params.max_rounds;
+              ck_state = st;
             }
       in
       let initial =

@@ -50,7 +50,7 @@ type degradation =
 val degradation_to_string : degradation -> string
 
 type checkpoint = {
-  path : string;  (** snapshot file, written atomically (tmp + rename) *)
+  path : string;  (** snapshot file ({!Mf_util.Snapshot}: digest-checked, atomic) *)
   every : int;  (** save after every [every] rounds; [0] = only on stop *)
   resume : bool;
       (** load [path] first and continue from it; a missing or corrupt

@@ -1,11 +1,12 @@
-(* Entry file layout (binary, but header line readable):
-     mfdft-serve-cache-v1 <hex payload digest>\n
-     <payload bytes>
-   Integrity = magic string matches AND digest of the payload bytes
-   matches the header.  Anything else is corruption: delete, count, miss. *)
+(* Entries and the index are Mf_util.Snapshot files: a header line
+   [<magic> <hex payload digest>], then the payload.  An entry that fails
+   the check is corruption: delete, count, miss.  An index that fails it
+   degrades to a directory scan. *)
+
+module Snapshot = Mf_util.Snapshot
 
 let magic = "mfdft-serve-cache-v1"
-let index_magic = "mfdft-serve-cache-index-v1"
+let index_magic = "mfdft-serve-cache-index-v2"
 
 type stats = {
   mem_hits : int;
@@ -36,31 +37,21 @@ let locked t f =
 let entry_path dir fp = Filename.concat dir (fp ^ ".res")
 let index_path dir = Filename.concat dir "index"
 
-let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
-
 (* fingerprints are hex digests; refuse anything that could escape the
    cache directory *)
 let valid_fp fp =
   fp <> "" && String.for_all (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false) fp
 
 let load_index dir disk =
-  match In_channel.with_open_bin (index_path dir) In_channel.input_all with
-  | exception Sys_error _ -> Error `Missing
-  | text -> (
-    match String.split_on_char '\n' text with
-    | header :: fps when header = index_magic ->
-      (* stored most-recent-first; insert oldest first so LRU order matches *)
-      List.rev fps
-      |> List.iter (fun fp ->
-          if valid_fp fp && Sys.file_exists (entry_path dir fp) then
-            ignore (Mf_util.Lru.add disk fp ()));
-      Ok ()
-    | _ -> Error `Damaged)
+  match Snapshot.read ~magic:index_magic (index_path dir) with
+  | Error _ -> false
+  | Ok text ->
+    (* stored most-recent-first; insert oldest first so LRU order matches *)
+    List.rev (String.split_on_char '\n' text)
+    |> List.iter (fun fp ->
+        if valid_fp fp && Sys.file_exists (entry_path dir fp) then
+          ignore (Mf_util.Lru.add disk fp ()));
+    true
 
 let scan_dir dir disk =
   match Sys.readdir dir with
@@ -81,10 +72,9 @@ let create ?(mem_capacity = 256) ?(disk_capacity = 4096) ?dir () =
     | None -> None
     | Some d ->
       if not (Sys.file_exists d) then Sys.mkdir d 0o755;
+      Snapshot.clear_tmp d;
       let disk = Mf_util.Lru.create ~capacity:disk_capacity in
-      (match load_index d disk with
-       | Ok () -> ()
-       | Error (`Missing | `Damaged) -> scan_dir d disk);
+      if not (load_index d disk) then scan_dir d disk;
       Some disk
   in
   {
@@ -102,23 +92,14 @@ let create ?(mem_capacity = 256) ?(disk_capacity = 4096) ?dir () =
 
 let read_entry t dir fp =
   let path = entry_path dir fp in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | contents -> (
-    let bad () =
-      t.corrupt <- t.corrupt + 1;
-      (try Sys.remove path with Sys_error _ -> ());
-      (match t.disk with Some disk -> Mf_util.Lru.remove disk fp | None -> ());
-      None
-    in
-    match String.index_opt contents '\n' with
-    | None -> bad ()
-    | Some nl ->
-      let header = String.sub contents 0 nl in
-      let payload = String.sub contents (nl + 1) (String.length contents - nl - 1) in
-      (match String.split_on_char ' ' header with
-       | [ m; d ] when m = magic && d = Digest.to_hex (Digest.string payload) -> Some payload
-       | _ -> bad ()))
+  match Snapshot.read ~magic path with
+  | Ok payload -> Some payload
+  | Error Snapshot.Missing -> None
+  | Error (Snapshot.Corrupt | Snapshot.Wrong_magic) ->
+    t.corrupt <- t.corrupt + 1;
+    (try Sys.remove path with Sys_error _ -> ());
+    (match t.disk with Some disk -> Mf_util.Lru.remove disk fp | None -> ());
+    None
 
 let find t fp =
   locked t @@ fun () ->
@@ -146,7 +127,7 @@ let save_index_unlocked t =
   match (t.dir, t.disk) with
   | Some dir, Some disk ->
     let fps = List.map fst (Mf_util.Lru.to_list disk) in
-    write_atomic (index_path dir) (String.concat "\n" (index_magic :: fps))
+    Snapshot.write ~magic:index_magic (index_path dir) (String.concat "\n" fps)
   | _ -> ()
 
 let store t ~fingerprint payload =
@@ -155,8 +136,7 @@ let store t ~fingerprint payload =
   ignore (Mf_util.Lru.add t.mem fingerprint payload);
   match (t.dir, t.disk) with
   | Some dir, Some disk ->
-    write_atomic (entry_path dir fingerprint)
-      (Printf.sprintf "%s %s\n%s" magic (Digest.to_hex (Digest.string payload)) payload);
+    Snapshot.write ~magic (entry_path dir fingerprint) payload;
     (match Mf_util.Lru.add disk fingerprint () with
      | None -> ()
      | Some (evicted_fp, ()) ->

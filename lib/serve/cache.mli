@@ -3,13 +3,12 @@
 
     Entries are opaque byte payloads (the serve protocol's final result
     line) addressed by their submission {!Fingerprint.digest}.  The disk
-    tier writes one file per entry atomically (tmp + rename, the same
-    discipline as the codesign checkpoints) with a versioned magic header
-    and a payload digest; a load that fails either check counts as
+    tier writes one {!Mf_util.Snapshot} file per entry (versioned magic,
+    payload digest, atomic write); a load that fails the check counts as
     corruption, evicts the file, and reports a miss — a poisoned entry is
-    re-solved, never served.  An index file (also written atomically)
-    records recency order so the disk LRU survives restarts; a missing or
-    damaged index degrades to a directory scan, never a failure.
+    re-solved, never served.  An index file (also a snapshot) records
+    recency order so the disk LRU survives restarts; a missing or damaged
+    index degrades to a directory scan, never a failure.
 
     All operations are thread-safe (one internal mutex). *)
 
@@ -25,9 +24,10 @@ type stats = {
 }
 
 val create : ?mem_capacity:int -> ?disk_capacity:int -> ?dir:string -> unit -> t
-(** [create ~dir ()] opens (creating if needed) the store rooted at [dir];
-    without [dir] the cache is memory-only.  Defaults: 256 entries in
-    memory, 4096 on disk. *)
+(** [create ~dir ()] opens (creating if needed) the store rooted at [dir],
+    deleting the [*.tmp] files of writes a kill interrupted; without [dir]
+    the cache is memory-only.  Defaults: 256 entries in memory, 4096 on
+    disk. *)
 
 val find : t -> string -> string option
 (** [find t fingerprint] — memory first, then disk (verifying integrity). *)
@@ -37,7 +37,7 @@ val store : t -> fingerprint:string -> string -> unit
     capacity. *)
 
 val flush : t -> unit
-(** Write the disk index atomically.  Called on graceful shutdown; cheap
+(** Write the disk index.  Called on graceful shutdown; cheap
     enough to call after every store (the engine does). *)
 
 val stats : t -> stats

@@ -1,4 +1,5 @@
 module Json = Mf_util.Json
+module Snapshot = Mf_util.Snapshot
 module Codesign = Mfdft.Codesign
 module Domain_pool = Mf_util.Domain_pool
 
@@ -53,12 +54,7 @@ let locked t f =
 let spec_path t fp = Filename.concat t.jobs_dir (fp ^ ".job")
 let ckpt_path t fp = Filename.concat t.jobs_dir (fp ^ ".ckpt")
 
-let write_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
+let spec_magic = "mfdft-serve-job-v1"
 
 let remove_quiet path = try Sys.remove path with Sys_error _ -> ()
 
@@ -89,7 +85,8 @@ let enqueue_unlocked t ?(recovering = false) ~chip ~assay ~fp spec subs =
   if spec.Protocol.deadline = None then begin
     Hashtbl.replace t.inflight fp job;
     if not recovering then
-      write_atomic (spec_path t fp) (Json.to_line (Protocol.submit_to_json spec) ^ "\n")
+      Snapshot.write ~magic:spec_magic (spec_path t fp)
+        (Json.to_line (Protocol.submit_to_json spec))
   end;
   t.queue <- job :: t.queue;
   Condition.broadcast t.work;
@@ -102,13 +99,14 @@ let recover t =
     (fun f ->
       if Filename.check_suffix f ".job" then begin
         let path = Filename.concat t.jobs_dir f in
-        let drop () = remove_quiet path in
-        match In_channel.with_open_bin path In_channel.input_all with
-        | exception Sys_error _ -> ()
-        | text -> (
-          match
-            Result.bind (Json.parse (String.trim text)) Protocol.submit_of_json
-          with
+        let drop () =
+          remove_quiet path;
+          remove_quiet (Filename.chop_suffix path ".job" ^ ".ckpt")
+        in
+        match Snapshot.read ~magic:spec_magic path with
+        | Error _ -> drop ()
+        | Ok text -> (
+          match Result.bind (Json.parse text) Protocol.submit_of_json with
           | Error _ -> drop ()
           | Ok spec -> (
             match fingerprint_of spec with
@@ -128,6 +126,7 @@ let create ?(jobs = 1) ?(mem_capacity = 256) ?(disk_capacity = 4096)
   if not (Sys.file_exists state_dir) then Sys.mkdir state_dir 0o755;
   let jobs_dir = Filename.concat state_dir "jobs" in
   if not (Sys.file_exists jobs_dir) then Sys.mkdir jobs_dir 0o755;
+  Snapshot.clear_tmp jobs_dir;
   let t =
     {
       jobs_dir;
@@ -247,6 +246,16 @@ let run_next ?stop_after t =
            ])
     in
     let budget = Option.map Mf_util.Budget.of_seconds job.spec.Protocol.deadline in
+    (if job.resume then
+       match Codesign.check_checkpoint ~params (ckpt_path t job.fp) with
+       | Ok () -> ()
+       | Error f ->
+         (* results are deterministic, so solving from the persisted spec
+            gives the payload the checkpoint would have led to *)
+         Printf.eprintf "serve: job %d: discarding its checkpoint, solving from the spec: %s\n%!"
+           job.jid (Mf_util.Fail.to_string f);
+         remove_quiet (ckpt_path t job.fp);
+         job.resume <- false);
     let checkpoint =
       (* budgeted jobs are not persisted, so a snapshot would be orphaned *)
       if job.spec.Protocol.deadline = None then

@@ -9,17 +9,20 @@
     {!Mf_util.Domain_pool}, whose discipline requires exactly that).
     Subscriber callbacks fire on the solver thread, outside the engine lock.
 
-    Persistence under [state_dir]:
+    Persistence under [state_dir], every file an {!Mf_util.Snapshot}
+    (versioned magic, payload digest, atomic write):
     - [cache/] — the content-addressed result store ({!Cache});
     - [jobs/<fp>.job] — the spec of every queued or running job without a
-      deadline, written atomically on submit and removed on completion;
+      deadline, written on submit and removed on completion;
     - [jobs/<fp>.ckpt] — the codesign checkpoint of a job that got far
       enough to snapshot.
 
-    {!create} scans [jobs/] and re-enqueues every persisted spec, resuming
-    from its checkpoint when one exists — so a daemon killed mid-solve
-    finishes the job after restart, bit-identical to an uninterrupted
-    solve. *)
+    {!create} deletes the [*.tmp] files of interrupted writes, then scans
+    [jobs/] and re-enqueues every persisted spec that verifies (the rest
+    are dropped with their checkpoints), resuming from its checkpoint when one exists — so a
+    daemon killed mid-solve finishes the job after restart, bit-identical
+    to an uninterrupted solve.  A checkpoint that fails verification is
+    deleted and the job solved from its spec, to the same payload. *)
 
 type t
 

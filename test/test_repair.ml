@@ -2,10 +2,10 @@
    repairing a deployed suite against injected valve faults re-certifies
    through the independent verifier, keeps the undamaged vectors, is
    bit-identical across job counts and across kill/resume, and fails
-   typed — never silently — on a missing checkpoint.  Plus the seed-stable
-   fault sampler ([Mf_util.Chaos.sample_sites]) properties the CLI and CI
-   chaos mode rely on, and the certificate round-trip with a fault context
-   and audited waivers. *)
+   typed — never silently — on a missing or damaged checkpoint.  Plus the
+   seed-stable fault sampler ([Mf_util.Chaos.sample_sites]) properties the
+   CLI and CI chaos mode rely on, and the certificate round-trip with a
+   fault context and audited waivers. *)
 
 module Chip = Mf_arch.Chip
 module Benchmarks = Mf_chips.Benchmarks
@@ -158,22 +158,52 @@ let test_repair_missing_checkpoint () =
   | Error f ->
     check Alcotest.string "typed repair failure" "repair" (Fail.stage_name f.Fail.stage)
 
+(* A damaged checkpoint is refused with a typed repair failure: a file
+   that was never a checkpoint, and a corpus of truncations and single-byte
+   flips of a real one.  Never an exception, a signal or a resume from
+   altered bytes; the intact file still resumes. *)
 let test_repair_corrupt_checkpoint () =
   let aug, suite = baseline "ivd_chip" in
-  let faults = inject ~seed:1 ~count:1 aug in
+  let faults = inject ~seed:3 ~count:1 aug in
+  let escalation = inject ~seed:11 ~count:2 aug in
+  let more_faults ~round =
+    if round = 1 then List.filter (fun f -> not (List.mem f faults)) escalation else []
+  in
   let path = Filename.temp_file "mfdft_repair_ckpt" ".bin" in
+  let resume () =
+    Reconfig.repair
+      ~checkpoint:{ Reconfig.path; every = 0; resume = true; stop_after = None }
+      ~more_faults aug suite faults
+  in
+  let resume_refused label =
+    match resume () with
+    | Ok _ -> Alcotest.failf "%s: corrupt checkpoint must be refused" label
+    | Error f ->
+      check Alcotest.string (label ^ ": typed repair failure") "repair"
+        (Fail.stage_name f.Fail.stage)
+  in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "garbage");
-      match
-        Reconfig.repair
-          ~checkpoint:{ Reconfig.path; every = 0; resume = true; stop_after = None }
-          aug suite faults
-      with
-      | Ok _ -> Alcotest.fail "corrupt checkpoint must be refused"
-      | Error f ->
-        check Alcotest.string "typed repair failure" "repair" (Fail.stage_name f.Fail.stage))
+      resume_refused "garbage";
+      (match
+         Reconfig.repair
+           ~checkpoint:{ Reconfig.path; every = 1; resume = false; stop_after = Some 1 }
+           ~more_faults aug suite faults
+       with
+      | Ok _ -> Alcotest.fail "stop_after should abort the run"
+      | Error _ -> ());
+      let real = Damage.read path in
+      List.iter
+        (fun (label, bytes) ->
+          Damage.write path bytes;
+          resume_refused label)
+        (Damage.variants real);
+      Damage.write path real;
+      match resume () with
+      | Ok _ -> ()
+      | Error f -> Alcotest.failf "the intact checkpoint must resume: %s" (Fail.to_string f))
 
 (* ------------------------------------------------------------------ *)
 (* the seed-stable fault sampler the CLI and chaos CI mode draw from *)

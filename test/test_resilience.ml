@@ -317,23 +317,46 @@ let test_checkpoint_rejects_mismatched_seed () =
         check Alcotest.string "typed codesign failure" "codesign"
           (Fail.stage_name f.Fail.stage))
 
+(* A damaged checkpoint is refused with a typed codesign failure: a file
+   that was never a checkpoint, and a corpus of truncations and single-byte
+   flips of a real one.  Never an exception, a signal or a resume from
+   altered bytes. *)
 let test_checkpoint_corrupt_file () =
   let chip = Option.get (Benchmarks.by_name "ivd_chip") in
   let app = Assays.ivd () in
+  let params = tiny_params ~seed:42 in
   let path = Filename.temp_file "mfdft_ckpt" ".bin" in
+  let resume_refused label =
+    match
+      Codesign.run ~params
+        ~checkpoint:{ Codesign.path; every = 0; resume = true; stop_after = None }
+        chip app
+    with
+    | Ok _ -> Alcotest.failf "%s: corrupt checkpoint must be refused" label
+    | Error f ->
+      check Alcotest.string (label ^ ": typed codesign failure") "codesign"
+        (Fail.stage_name f.Fail.stage)
+  in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "not a snapshot");
-      match
-        Codesign.run ~params:(tiny_params ~seed:42)
-          ~checkpoint:{ Codesign.path; every = 0; resume = true; stop_after = None }
-          chip app
-      with
-      | Ok _ -> Alcotest.fail "corrupt checkpoint must be refused"
-      | Error f ->
-        check Alcotest.string "typed codesign failure" "codesign"
-          (Fail.stage_name f.Fail.stage))
+      resume_refused "not a snapshot";
+      (match
+         Codesign.run ~params
+           ~checkpoint:{ Codesign.path; every = 1; resume = false; stop_after = Some 1 }
+           chip app
+       with
+      | Ok _ -> Alcotest.fail "stop_after should abort the run"
+      | Error _ -> ());
+      let real = Damage.read path in
+      check Alcotest.bool "the intact checkpoint verifies" true
+        (Codesign.check_checkpoint ~params path = Ok ());
+      List.iter
+        (fun (label, bytes) ->
+          Damage.write path bytes;
+          resume_refused label)
+        (Damage.variants real))
 
 let test_checkpoint_missing_file () =
   let chip = Option.get (Benchmarks.by_name "ivd_chip") in

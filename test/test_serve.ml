@@ -1,6 +1,7 @@
 (* Serve-mode engine tests: fingerprint canonicalisation, the
-   content-addressed cache (including the poisoning guard), single-flight
-   deduplication, and the kill/restart differential — everything the daemon
+   content-addressed cache (including the poisoning guard and a corruption
+   corpus), single-flight deduplication, and the kill/restart differential
+   (also with a damaged checkpoint and torn writes) — everything the daemon
    does, driven synchronously through Mf_serve.Engine. *)
 
 module Json = Mf_serve.Json
@@ -329,7 +330,9 @@ let test_priority_order () =
    | _ -> Alcotest.fail "expected exactly one started event");
   Engine.shutdown eng
 
-let test_crash_recovery_differential () =
+(* Kill/restart differential: [damage] is applied to the state dir of the
+   killed daemon before the restart, and must not change the payload. *)
+let kill_restart_differential ?(damage = fun ~dir:_ ~fp:_ -> ()) () =
   let s = spec ~chip:"ivd_chip" ~assay:"pid" ~seed:7 () in
   let fp = fp_of_spec s in
   (* reference: uninterrupted solve in a fresh state dir *)
@@ -355,6 +358,7 @@ let test_crash_recovery_differential () =
   (match !outcome with
    | Some Engine.Checkpointed -> ()
    | _ -> Alcotest.fail "expected a checkpointed outcome");
+  damage ~dir ~fp;
   (* restart on the same state dir: the job is recovered and resumed *)
   let eng' = Engine.create ~tune ~state_dir:dir () in
   check Alcotest.int "one job recovered" 1 (Engine.stats eng').Engine.recovered;
@@ -363,7 +367,96 @@ let test_crash_recovery_differential () =
   (match Engine.find_cached eng' fp with
    | Some p -> check Alcotest.string "resumed result byte-identical" reference p
    | None -> Alcotest.fail "resumed job produced no cached result");
+  check Alcotest.int "no failed job" 0 (Engine.stats eng').Engine.failures;
   Engine.shutdown eng'
+
+let test_crash_recovery_differential () = kill_restart_differential ()
+
+(* a checkpoint that fails verification is discarded and the job solved
+   from its persisted spec, to the same payload *)
+let test_corrupt_checkpoint_resolved () =
+  kill_restart_differential
+    ~damage:(fun ~dir ~fp ->
+      let path = Filename.concat (Filename.concat dir "jobs") (fp ^ ".ckpt") in
+      let bytes = Damage.read path in
+      let payload_byte = (String.index bytes '\n' + String.length bytes) / 2 in
+      Damage.write path (Damage.flip bytes payload_byte))
+    ()
+
+(* the [.tmp] files of writes a kill interrupted are deleted at restart
+   and change no stat *)
+let test_stray_tmp_cleared () =
+  let s = spec ~chip:"ivd_chip" ~assay:"ivd" ~seed:9 () in
+  let fp = fp_of_spec s in
+  let dir = tmp_dir () in
+  (* a persisted spec, then kill -9 before the job ran *)
+  ignore (submit_ok (Engine.create ~tune ~state_dir:dir ()) s ~on_event:ignore ~on_done:ignore);
+  let clean = Engine.stats (Engine.create ~tune ~state_dir:dir ()) in
+  let in_dir sub f = Filename.concat (Filename.concat dir sub) f in
+  let strays =
+    [ in_dir "jobs" (fp ^ ".job.tmp"); in_dir "jobs" (fp ^ ".ckpt.tmp");
+      in_dir "cache" (fp ^ ".res.tmp"); in_dir "cache" "index.tmp" ]
+  in
+  List.iter (fun p -> Damage.write p "torn write") strays;
+  let eng = Engine.create ~tune ~state_dir:dir () in
+  List.iter (fun p -> check Alcotest.bool (p ^ " deleted") false (Sys.file_exists p)) strays;
+  check Alcotest.bool "same stats as without them" true (Engine.stats eng = clean);
+  Engine.shutdown eng
+
+(* Corruption corpus over the daemon's persisted files, taken from a real
+   solve: a damaged cache entry is a counted corruption and a miss, a
+   damaged index falls back to the directory scan, a damaged job spec is
+   dropped with its checkpoint.  Never an exception and never damaged bytes served. *)
+let test_corruption_corpus () =
+  let s = spec ~chip:"ivd_chip" ~assay:"ivd" ~seed:13 () in
+  let fp = fp_of_spec s in
+  let dir = tmp_dir () in
+  let eng = Engine.create ~tune ~state_dir:dir () in
+  ignore (submit_ok eng s ~on_event:ignore ~on_done:ignore);
+  let spec_path = Filename.concat (Filename.concat dir "jobs") (fp ^ ".job") in
+  let job_bytes = Damage.read spec_path in
+  (match Engine.run_next eng with `Ran -> () | `Idle -> Alcotest.fail "no job");
+  let payload = Option.get (Engine.find_cached eng fp) in
+  Engine.shutdown eng;
+  let cache_dir = Filename.concat dir "cache" in
+  let entry_path = Filename.concat cache_dir (fp ^ ".res") in
+  let index_path = Filename.concat cache_dir "index" in
+  let entry_bytes = Damage.read entry_path and index_bytes = Damage.read index_path in
+  List.iter
+    (fun (label, bytes) ->
+      Damage.write entry_path bytes;
+      let c = Cache.create ~dir:cache_dir () in
+      check Alcotest.bool (label ^ ": entry not served") true (Cache.find c fp = None);
+      let st = Cache.stats c in
+      check Alcotest.int (label ^ ": corruption counted") 1 st.Cache.corrupt;
+      check Alcotest.int (label ^ ": a miss") 1 st.Cache.misses)
+    (Damage.variants entry_bytes);
+  Damage.write entry_path entry_bytes;
+  List.iter
+    (fun (label, bytes) ->
+      Damage.write index_path bytes;
+      let c = Cache.create ~dir:cache_dir () in
+      check Alcotest.int (label ^ ": the scan finds the entry") 1 (Cache.entries c);
+      check Alcotest.bool (label ^ ": entry served") true (Cache.find c fp = Some payload))
+    (Damage.variants index_bytes);
+  let state = tmp_dir () in
+  Sys.mkdir (Filename.concat state "jobs") 0o755;
+  let spec_path = Filename.concat (Filename.concat state "jobs") (fp ^ ".job") in
+  let ckpt_path = Filename.concat (Filename.concat state "jobs") (fp ^ ".ckpt") in
+  List.iter
+    (fun (label, bytes) ->
+      Damage.write spec_path bytes;
+      Damage.write ckpt_path "its checkpoint";
+      let eng = Engine.create ~tune ~state_dir:state () in
+      check Alcotest.int (label ^ ": nothing recovered") 0 (Engine.stats eng).Engine.recovered;
+      check Alcotest.bool (label ^ ": spec dropped") false (Sys.file_exists spec_path);
+      check Alcotest.bool (label ^ ": its checkpoint dropped") false (Sys.file_exists ckpt_path);
+      Engine.shutdown eng)
+    (Damage.variants job_bytes);
+  Damage.write spec_path job_bytes;
+  let eng = Engine.create ~tune ~state_dir:state () in
+  check Alcotest.int "the intact spec is recovered" 1 (Engine.stats eng).Engine.recovered;
+  Engine.shutdown eng
 
 let test_jobs_differential () =
   let s = spec ~chip:"ra30_chip" ~assay:"ivd" ~seed:11 () in
@@ -453,6 +546,7 @@ let () =
           Alcotest.test_case "memory tier" `Quick test_cache_memory;
           Alcotest.test_case "disk persistence" `Quick test_cache_disk_persistence;
           Alcotest.test_case "poisoning guard" `Quick test_cache_poisoning_guard;
+          Alcotest.test_case "corruption corpus" `Slow test_corruption_corpus;
           Alcotest.test_case "disk eviction" `Quick test_cache_eviction;
         ] );
       ( "engine",
@@ -460,6 +554,9 @@ let () =
           Alcotest.test_case "single-flight + cache hit" `Slow test_single_flight_and_cache_hit;
           Alcotest.test_case "priority order" `Slow test_priority_order;
           Alcotest.test_case "kill/restart differential" `Slow test_crash_recovery_differential;
+          Alcotest.test_case "corrupt checkpoint re-solved" `Slow
+            test_corrupt_checkpoint_resolved;
+          Alcotest.test_case "stray tmp files cleared" `Quick test_stray_tmp_cleared;
           Alcotest.test_case "jobs=1 vs jobs=4 byte-identical" `Slow test_jobs_differential;
           Alcotest.test_case "corrupt cache entry re-solved" `Slow
             test_engine_corrupt_cache_resolves;

@@ -268,6 +268,34 @@ let lru_model_prop =
         ops;
       Lru.to_list l = !model)
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot: verified round trips and the typed error of each failure *)
+
+let test_snapshot_typed_errors () =
+  let module Snapshot = Mf_util.Snapshot in
+  let dir = Filename.temp_dir "mfdft_snapshot" "" in
+  let path = Filename.concat dir "f" in
+  let error = Alcotest.testable (fun ppf e -> Fmt.string ppf (Snapshot.error_message e)) ( = ) in
+  let result = Alcotest.result Alcotest.string error in
+  check result "missing" (Error Snapshot.Missing) (Snapshot.read ~magic:"m-v1" path);
+  Snapshot.write ~magic:"m-v1" path "line one\nline two";
+  check result "round trip" (Ok "line one\nline two") (Snapshot.read ~magic:"m-v1" path);
+  check result "other magic" (Error Snapshot.Wrong_magic) (Snapshot.read ~magic:"m-v2" path);
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "m-v1 00\npayload");
+  check result "digest mismatch" (Error Snapshot.Corrupt) (Snapshot.read ~magic:"m-v1" path);
+  Snapshot.save ~magic:"pairs-v1" path [ (1, "a"); (2, "b") ];
+  check Alcotest.bool "marshalled round trip" true
+    (Snapshot.load ~magic:"pairs-v1" path = Ok [ (1, "a"); (2, "b") ]);
+  Alcotest.check_raises "magic with a space"
+    (Invalid_argument "Snapshot.write: magic must not contain a space or a newline") (fun () ->
+      Snapshot.write ~magic:"m v1" path "");
+  Out_channel.with_open_bin (path ^ ".tmp") (fun oc -> Out_channel.output_string oc "torn");
+  Snapshot.clear_tmp dir;
+  check Alcotest.bool "stray tmp cleared" false (Sys.file_exists (path ^ ".tmp"));
+  check Alcotest.bool "snapshot kept" true (Sys.file_exists path);
+  Sys.remove path;
+  Sys.rmdir dir
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   (* exact-value assertions require the fault-free pipeline *)
@@ -310,4 +338,6 @@ let () =
           Alcotest.test_case "replace/remove" `Quick test_lru_replace_and_remove;
           qt lru_model_prop;
         ] );
+      ( "snapshot",
+        [ Alcotest.test_case "round trips and typed errors" `Quick test_snapshot_typed_errors ] );
     ]
