@@ -19,9 +19,6 @@ type params = {
       (* domains parallelising each branch-and-bound's relaxation batches
          during pool construction; 1 keeps the search inline.  Bit-identical
          results for any value (see Mf_ilp.Ilp). *)
-  sched_cutoff : bool;
-      (* abort fitness simulations once they exceed the particle's
-         personal-best fitness; result-transparent (see [sharing_fitness]) *)
 }
 
 let default_params =
@@ -34,7 +31,6 @@ let default_params =
     ilp_node_limit = 4_000;
     jobs = 1;
     ilp_jobs = 1;
-    sched_cutoff = true;
   }
 
 let quick_params =
@@ -125,26 +121,16 @@ let invalid_threshold = 1e5
    miss both compute the same value and [replace] keeps the table
    single-valued — the cache affects work, never results.
 
-   [tbl] holds only {e exact} fitness values (it is what checkpoints
-   persist and [worst_cached_valid] scans).  Two side tables exist purely
-   to save work and never influence a returned exact value: [preps] caches
-   the per-configuration {!Prep.t} topology snapshot, and [bounds] records,
-   for schemes whose simulation was cut off, the largest bound the true
-   fitness is known to exceed. *)
+   [tbl] holds the fitness values (it is what checkpoints persist and
+   [worst_cached_valid] scans); [preps] caches the per-configuration
+   {!Prep.t} topology snapshot, purely to save work. *)
 type cache = {
   tbl : ((int list * Sharing.t), float) Hashtbl.t;
   preps : (int list, Prep.t) Hashtbl.t;
-  bounds : ((int list * Sharing.t), float) Hashtbl.t;
   lock : Mutex.t;
 }
 
-let cache_create () =
-  {
-    tbl = Hashtbl.create 64;
-    preps = Hashtbl.create 8;
-    bounds = Hashtbl.create 64;
-    lock = Mutex.create ();
-  }
+let cache_create () = { tbl = Hashtbl.create 64; preps = Hashtbl.create 8; lock = Mutex.create () }
 
 let cache_find cache key =
   Mutex.lock cache.lock;
@@ -186,19 +172,6 @@ let prep_of cache (entry : Pool.entry) =
     Hashtbl.replace cache.preps key p;
     Mutex.unlock cache.lock;
     p
-
-let bound_find cache key =
-  Mutex.lock cache.lock;
-  let v = Hashtbl.find_opt cache.bounds key in
-  Mutex.unlock cache.lock;
-  v
-
-let bound_store cache key b =
-  Mutex.lock cache.lock;
-  (match Hashtbl.find_opt cache.bounds key with
-   | Some b0 when b0 >= b -> ()
-   | Some _ | None -> Hashtbl.replace cache.bounds key b);
-  Mutex.unlock cache.lock
 
 (* On-disk snapshot of a paused run.  Everything the continuation depends
    on is stored by value: the pool (rebuilding it under chaos or a changed
@@ -247,60 +220,23 @@ let check_checkpoint ~params path =
 (* Fitness shaping: schemes whose test program cannot be completed are
    penalised by how many faults escape; schemes that deadlock the
    application rank between those and valid ones.  Memoised per
-   (entry, scheme).
-
-   With [~bound] (the calling particle's personal best) and
-   [params.sched_cutoff], the schedule simulation aborts once simulated
-   time exceeds the bound, returning a value [>= bound].  This is
-   result-transparent for the PSO: a personal best is always >= the global
-   best, updates require strictly smaller fitness, and [`Cutoff] proves the
-   true fitness exceeds the bound (see [Scheduler.makespan_until]) — so
-   every value that ever enters a p_best/g_best/trace is still exact.
-   Pruned outcomes are remembered in [cache.bounds] (never in the exact
-   memo, and never checkpointed); a prior cutoff also proves the scheme was
-   [Testable], letting a re-evaluation with a larger bound skip the fault
-   simulation and go straight to the scheduler. *)
-let sharing_fitness ?(bound = infinity) cache params app (entry : Pool.entry) scheme =
-  let bound = if params.sched_cutoff then bound else infinity in
+   (entry, scheme). *)
+let sharing_fitness cache params app (entry : Pool.entry) scheme =
   let key = (entry.Pool.config.Pathgen.added_edges, scheme) in
   match cache_find cache key with
   | Some fit -> fit
   | None ->
-    let known_bound = bound_find cache key in
-    (match known_bound with
-     | Some b when bound <= b ->
-       (* already proven: true fitness > b >= bound — cannot beat the
-          particle's personal best, no need to re-simulate *)
-       b
-     | _ ->
-       let verdict =
-         if known_bound <> None then `Sched (Sharing.apply entry.Pool.augmented scheme)
-         else
-           match testable_suite entry scheme with
-           | Untestable misses ->
-             `Exact ((100. *. invalid_threshold) +. (1000. *. float_of_int misses))
-           | Testable (shared, _suite) -> `Sched shared
-       in
-       (match verdict with
-        | `Exact fit ->
-          cache_store cache key fit;
-          fit
-        | `Sched shared ->
-          let prep = Prep.for_sharing (prep_of cache entry) shared in
-          (match
-             Scheduler.makespan_until ~options:params.scheduler ~prep ~cutoff:bound shared app
-           with
-           | `Makespan makespan ->
-             let fit = float_of_int makespan in
-             cache_store cache key fit;
-             fit
-           | `Failed _ ->
-             let fit = 10. *. invalid_threshold in
-             cache_store cache key fit;
-             fit
-           | `Cutoff ->
-             bound_store cache key bound;
-             bound)))
+    let fit =
+      match testable_suite entry scheme with
+      | Untestable misses -> (100. *. invalid_threshold) +. (1000. *. float_of_int misses)
+      | Testable (shared, _suite) ->
+        let prep = Prep.for_sharing (prep_of cache entry) shared in
+        (match Scheduler.makespan ~options:params.scheduler ~prep shared app with
+         | Some makespan -> float_of_int makespan
+         | None -> 10. *. invalid_threshold)
+    in
+    cache_store cache key fit;
+    fit
 
 (* Per-valve partner feasibility: original valves whose control line a DFT
    valve can share without breaking testability {e on its own}.  Pair
@@ -392,26 +328,23 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
   | Error f -> Error f
   | Ok pool ->
     let cache = cache_create () in
-    let fitness_of ?bound entry scheme =
+    let fitness_of entry scheme =
       Atomic.incr evaluations;
       Mf_util.Prof.add_count "codesign.fitness" 1;
       Mf_util.Prof.time "codesign.fitness" (fun () ->
-          sharing_fitness ?bound cache params app entry scheme)
+          sharing_fitness cache params app entry scheme)
     in
     (* inner PSO: best sharing scheme for a fixed configuration, searching
        inside the per-valve feasible partner sets.  Self-contained once the
-       rng is split off, so one whole inner run is the unit of parallelism.
-       Bounded: each evaluation may stop the schedule simulation at the
-       particle's own personal best (never a cross-particle or outer-level
-       incumbent, which would make results depend on evaluation order). *)
+       rng is split off, so one whole inner run is the unit of parallelism. *)
     let best_sharing entry allowed inner_rng =
       let dim = List.length allowed in
       if dim = 0 then ([], fitness_of entry [])
       else begin
         let outcome =
-          Pso.run_bounded ~params:params.inner ?budget ~rng:inner_rng ~dim
-            ~fitness:(fun ~bound position ->
-              fitness_of ~bound entry (decode_constrained allowed position))
+          Pso.run ~params:params.inner ?budget ~rng:inner_rng ~dim
+            ~batch_fitness:
+              (Array.map (fun position -> fitness_of entry (decode_constrained allowed position)))
             ()
         in
         (decode_constrained allowed outcome.Pso.best_position, outcome.Pso.best_fitness)
@@ -513,7 +446,7 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
     let outcome =
       match
         Mf_util.Prof.time "codesign.pso" (fun () ->
-            Pso.run_batch ~params:params.outer ?budget ?checkpoint:hook
+            Pso.run ~params:params.outer ?budget ?checkpoint:hook
               ?resume:(Option.map (fun s -> s.ck_pso) resume_snap) ~rng:outer_rng
               ~dim:outer_dim ~batch_fitness:outer_batch ())
       with

@@ -29,13 +29,6 @@ type params = {
           sequentially, each using these domains — the fine-grained
           counterpart to [jobs]' coarse per-attempt fan-out; the two do not
           nest.  Bit-identical results for any value ≥ 1 (default 1) *)
-  sched_cutoff : bool;
-      (** abort each fitness schedule simulation as soon as its elapsed
-          time exceeds the inner particle's personal-best fitness
-          ({!Mf_sched.Scheduler.makespan_until}).  Result-transparent: PSO
-          bests only move on strictly better (hence fully simulated)
-          values, so the final result is identical with the flag on or off
-          — only the work differs (default true) *)
 }
 
 val default_params : params

@@ -34,24 +34,19 @@ type batch_state = {
   st_evals : int;
 }
 
-(* The one swarm implementation (synchronous updates): every RNG draw
-   happens here, in particle order, before the whole iteration's positions
-   go to [eval_batch] as one read-only batch together with each particle's
-   incumbent personal-best fitness (the bound a bounded evaluator may prune
-   against — see [run_bounded]).  Velocity updates use the previous
-   iteration's global best, so the outcome depends only on the rng stream
-   and the fitness values — never on the order the batch is evaluated in.
-   [run], [run_bounded] and [run_batch] are all thin wrappers, so the
-   sequential and parallel paths cannot drift. *)
-let run_core ~name ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~dim ~eval_batch
-    () =
-  if dim <= 0 then invalid_arg (name ^ ": dim must be positive");
+(* Synchronous updates: every RNG draw happens here, in particle order,
+   before the whole iteration's positions go to [batch_fitness] as one
+   read-only batch.  Velocity updates use the previous iteration's global
+   best, so the outcome depends only on the rng stream and the fitness
+   values — never on the order the batch is evaluated in. *)
+let run ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~dim ~batch_fitness () =
+  if dim <= 0 then invalid_arg "Pso.run: dim must be positive";
   let n = params.particles in
   let evaluations = ref 0 in
-  let eval_all xs bounds =
-    let fits = eval_batch xs bounds in
+  let eval_all xs =
+    let fits = batch_fitness xs in
     if Array.length fits <> Array.length xs then
-      invalid_arg (name ^ ": batch_fitness must return one fitness per position");
+      invalid_arg "Pso.run: batch_fitness must return one fitness per position";
     evaluations := !evaluations + Array.length xs;
     fits
   in
@@ -59,9 +54,9 @@ let run_core ~name ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~
     match resume with
     | Some st ->
       if Array.length st.st_xs <> n then
-        invalid_arg (name ^ ": resume state swarm size mismatch");
+        invalid_arg "Pso.run: resume state swarm size mismatch";
       if n > 0 && Array.length st.st_xs.(0) <> dim then
-        invalid_arg (name ^ ": resume state dimension mismatch");
+        invalid_arg "Pso.run: resume state dimension mismatch";
       (* the caller's rng continues exactly where the snapshot left off *)
       Rng.blit ~src:st.st_rng ~dst:rng;
       evaluations := st.st_evals;
@@ -80,8 +75,7 @@ let run_core ~name ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~
         xs.(i) <- Array.init dim (fun _ -> Rng.uniform rng);
         vs.(i) <- Array.init dim (fun _ -> (Rng.uniform rng -. 0.5) *. params.v_max)
       done;
-      (* nothing to prune against yet: the first batch runs unbounded *)
-      let fits = eval_all xs (Array.make n infinity) in
+      let fits = eval_all xs in
       let p_best = Array.map Array.copy xs in
       let p_fit = Array.copy fits in
       let g_best = ref (Array.copy xs.(0)) in
@@ -124,9 +118,7 @@ let run_core ~name ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~
            xs.(i).(d) <- clamp 0. 1. (xs.(i).(d) +. vs.(i).(d))
          done
        done;
-       (* a result > p_fit.(i) cannot move any best, so a bounded evaluator
-          may return any value > the bound once it proves that much *)
-       let fits = eval_all xs (Array.copy p_fit) in
+       let fits = eval_all xs in
        for i = 0 to n - 1 do
          if fits.(i) < p_fit.(i) then begin
            p_fit.(i) <- fits.(i);
@@ -147,18 +139,3 @@ let run_core ~name ?(params = default_params) ?budget ?checkpoint ?resume ~rng ~
     trace = List.rev !trace;
     evaluations = !evaluations;
   }
-
-let run ?params ?budget ~rng ~dim ~fitness () =
-  run_core ~name:"Pso.run" ?params ?budget ~rng ~dim
-    ~eval_batch:(fun xs _bounds -> Array.map fitness xs)
-    ()
-
-let run_bounded ?params ?budget ~rng ~dim ~fitness () =
-  run_core ~name:"Pso.run_bounded" ?params ?budget ~rng ~dim
-    ~eval_batch:(fun xs bounds -> Array.mapi (fun i x -> fitness ~bound:bounds.(i) x) xs)
-    ()
-
-let run_batch ?params ?budget ?checkpoint ?resume ~rng ~dim ~batch_fitness () =
-  run_core ~name:"Pso.run_batch" ?params ?budget ?checkpoint ?resume ~rng ~dim
-    ~eval_batch:(fun xs _bounds -> batch_fitness xs)
-    ()

@@ -31,51 +31,14 @@ type outcome = {
   evaluations : int;
 }
 
-val run :
-  ?params:params ->
-  ?budget:Mf_util.Budget.t ->
-  rng:Mf_util.Rng.t ->
-  dim:int ->
-  fitness:(float array -> float) ->
-  unit ->
-  outcome
-(** Search the box [\[0,1\]^dim].  [fitness] is called on decoded-by-caller
-    positions, in particle order; it must be deterministic for
-    reproducibility.  If every evaluation returns [infinity] the outcome's
-    [best_fitness] is [infinity] and [best_position] is the last particle
-    examined.  When [budget] expires the loop stops before the next
-    iteration and the best-so-far outcome is returned (shorter [trace]).
-
-    [run], {!run_bounded} and {!run_batch} are wrappers over one
-    synchronous-update core: within an iteration every particle's velocity
-    update sees the {e previous} iteration's global best (so the sequential
-    and batched paths cannot drift apart). *)
-
-val run_bounded :
-  ?params:params ->
-  ?budget:Mf_util.Budget.t ->
-  rng:Mf_util.Rng.t ->
-  dim:int ->
-  fitness:(bound:float -> float array -> float) ->
-  unit ->
-  outcome
-(** Like {!run}, but each evaluation receives the particle's incumbent
-    personal-best fitness as [~bound] ([infinity] on the first iteration).
-    A returned value can only update the bests when strictly below the
-    bound, so an evaluator may stop early and return {e any} value
-    [> bound] as soon as it has proven the true fitness exceeds it — the
-    outcome (positions, bests, trace) is identical to the unbounded run as
-    long as that contract holds.  This is the hook for
-    [Scheduler.makespan_until]-style branch-and-bound fitness. *)
-
 type batch_state
-(** Opaque snapshot of an in-flight {!run_batch} search: swarm positions,
-    velocities, personal/global bests, trace, evaluation count and the rng
-    state {e after} the snapshot iteration's draws.  Contains only plain
-    data (no closures), so it may be persisted with [Marshal] and reloaded
-    by a binary built from the same sources. *)
+(** Opaque snapshot of an in-flight {!run}: swarm positions, velocities,
+    personal/global bests, trace, evaluation count and the rng state
+    {e after} the snapshot iteration's draws.  Contains only plain data (no
+    closures), so it may be persisted with [Marshal] and reloaded by a
+    binary built from the same sources. *)
 
-val run_batch :
+val run :
   ?params:params ->
   ?budget:Mf_util.Budget.t ->
   ?checkpoint:(int -> batch_state -> unit) ->
@@ -85,24 +48,27 @@ val run_batch :
   batch_fitness:(float array array -> float array) ->
   unit ->
   outcome
-(** Synchronous-update PSO: per iteration, all velocity/position updates
-    (and every rng draw) happen on the calling domain in particle order,
-    then the whole iteration's positions are handed to [batch_fitness] at
-    once.  [batch_fitness] must return fitnesses in input order, treat the
-    position arrays as read-only, and be a pure function of the positions —
-    under those rules the outcome is bit-identical however the batch is
-    evaluated (serially, or fanned out with {!Mf_util.Domain_pool.map}).
+(** Search the box [\[0,1\]^dim] with synchronous updates: per iteration,
+    all velocity/position updates (and every rng draw) happen on the
+    calling domain in particle order, then the whole iteration's positions
+    are handed to [batch_fitness] at once.  [batch_fitness] must return
+    fitnesses in input order, treat the position arrays as read-only, and
+    be a pure function of the positions — under those rules the outcome is
+    bit-identical however the batch is evaluated (serially with
+    [Array.map], or fanned out with {!Mf_util.Domain_pool.map}).  A
+    particle does not see a global best improved earlier in the same
+    iteration (the classic synchronous PSO trade-off that makes the batch
+    independent); [evaluations] is [particles * (1 + iterations)].
 
-    Unlike {!run}, later particles of an iteration do not see a global best
-    improved earlier in the same iteration (the classic synchronous PSO
-    trade-off that makes the batch independent); [evaluations] is still
-    [particles * (1 + iterations)].
+    If every evaluation returns [infinity] the outcome's [best_fitness] is
+    [infinity] and [best_position] is the first particle's initial
+    position.  Raises [Invalid_argument] when [dim <= 0].
 
     Resilience hooks: [budget] stops the loop between iterations, returning
-    the best-so-far outcome.  [checkpoint it state] fires after each
-    completed iteration [it] (1-based) with a fully-copied snapshot; a
-    subsequent call passing that snapshot as [resume] (with identical
-    [params], [dim] and [batch_fitness]) skips the completed iterations,
-    overwrites [rng] with the snapshot state, and produces an outcome
-    bit-identical to the uninterrupted run.  Exceptions raised by the hook
-    propagate to the caller. *)
+    the best-so-far outcome (shorter [trace]).  [checkpoint it state] fires
+    after each completed iteration [it] (1-based) with a fully-copied
+    snapshot; a subsequent call passing that snapshot as [resume] (with
+    identical [params], [dim] and [batch_fitness]) skips the completed
+    iterations, overwrites [rng] with the snapshot state, and produces an
+    outcome bit-identical to the uninterrupted run.  Exceptions raised by
+    the hook propagate to the caller. *)

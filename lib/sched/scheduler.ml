@@ -33,21 +33,14 @@ module Stats = struct
   let runs = Atomic.make 0
   let steps = Atomic.make 0
   let routes = Atomic.make 0
-  let cutoffs = Atomic.make 0
 
   let reset () =
     Atomic.set runs 0;
     Atomic.set steps 0;
-    Atomic.set routes 0;
-    Atomic.set cutoffs 0
+    Atomic.set routes 0
 
   let snapshot () =
-    {
-      runs = Atomic.get runs;
-      steps = Atomic.get steps;
-      routes = Atomic.get routes;
-      cutoffs = Atomic.get cutoffs;
-    }
+    { runs = Atomic.get runs; steps = Atomic.get steps; routes = Atomic.get routes; cutoffs = 0 }
 end
 
 (* Debug dumps are env-gated, read once at module initialisation: PSO
@@ -1221,17 +1214,15 @@ let dump_state st time =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-let prof_flush st ~cut =
+let prof_flush st =
   Atomic.incr Stats.runs;
   ignore (Atomic.fetch_and_add Stats.steps st.c_steps);
   ignore (Atomic.fetch_and_add Stats.routes st.c_routes);
-  if cut then Atomic.incr Stats.cutoffs;
   Mf_util.Prof.add_count "sched.runs" 1;
   Mf_util.Prof.add_count "sched.steps" st.c_steps;
-  Mf_util.Prof.add_count "sched.routes" st.c_routes;
-  if cut then Mf_util.Prof.add_count "sched.cutoffs" 1
+  Mf_util.Prof.add_count "sched.routes" st.c_routes
 
-let exec ~options ~prep ~fast ~record_events ~cutoff chip app =
+let exec ~options ~prep ~fast ~record_events chip app =
   (* every op kind used must have a device *)
   let missing =
     Array.to_list (Seqgraph.ops app)
@@ -1240,19 +1231,18 @@ let exec ~options ~prep ~fast ~record_events ~cutoff chip app =
         not (Array.exists (fun (d : Chip.device) -> d.kind = kind) (Chip.devices chip)))
   in
   match missing with
-  | Some o -> Error (`Failure (Schedule.No_device o.kind))
+  | Some o -> Error (Schedule.No_device o.kind)
   | None ->
     let prep = match prep with Some p -> p | None -> Prep.of_chip chip in
     let st = init chip prep app options ~fast ~record_events in
     let all_done () = Array.for_all Fun.id st.op_finished in
-    let finish r ~cut =
-      prof_flush st ~cut;
+    let finish r =
+      prof_flush st;
       r
     in
     let rec loop time =
       st.c_steps <- st.c_steps + 1;
-      if time > options.horizon then finish (Error (`Failure (Schedule.Timeout time))) ~cut:false
-      else if float_of_int time > cutoff then finish (Error `Cut) ~cut:true
+      if time > options.horizon then finish (Error (Schedule.Timeout time))
       else begin
         complete_at st time;
         ignore (try_progress st time);
@@ -1267,36 +1257,23 @@ let exec ~options ~prep ~fast ~record_events ~cutoff chip app =
                  n_stored = st.n_stored;
                  n_washes = st.n_washes;
                })
-            ~cut:false
         else
           match next_event_time st with
           | Some t -> loop t
           | None ->
             if debug_enabled then dump_state st time;
-            finish (Error (`Failure (Schedule.Deadlock time))) ~cut:false
+            finish (Error (Schedule.Deadlock time))
       end
     in
     loop 0
 
 let run ?(options = default_options) ?prep chip app =
-  match exec ~options ~prep ~fast:true ~record_events:true ~cutoff:infinity chip app with
-  | Ok s -> Ok s
-  | Error (`Failure f) -> Error f
-  | Error `Cut -> assert false (* cutoff = infinity never triggers *)
+  exec ~options ~prep ~fast:true ~record_events:true chip app
 
 let run_reference ?(options = default_options) chip app =
-  match exec ~options ~prep:None ~fast:false ~record_events:true ~cutoff:infinity chip app with
-  | Ok s -> Ok s
-  | Error (`Failure f) -> Error f
-  | Error `Cut -> assert false
+  exec ~options ~prep:None ~fast:false ~record_events:true chip app
 
 let makespan ?(options = default_options) ?prep chip app =
-  match exec ~options ~prep ~fast:true ~record_events:false ~cutoff:infinity chip app with
+  match exec ~options ~prep ~fast:true ~record_events:false chip app with
   | Ok s -> Some s.Schedule.makespan
   | Error _ -> None
-
-let makespan_until ?(options = default_options) ?prep ~cutoff chip app =
-  match exec ~options ~prep ~fast:true ~record_events:false ~cutoff chip app with
-  | Ok s -> `Makespan s.Schedule.makespan
-  | Error (`Failure f) -> `Failed f
-  | Error `Cut -> `Cutoff

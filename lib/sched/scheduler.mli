@@ -38,14 +38,15 @@ val default_options : options
 (** Global event-loop counters, accumulated across every simulation since
     start (or the last {!Stats.reset}).  Atomic, so concurrent fitness
     workers update them safely; also mirrored into {!Mf_util.Prof} as
-    [sched.runs]/[sched.steps]/[sched.routes]/[sched.cutoffs] when
-    [MFDFT_PROF=1]. *)
+    [sched.runs]/[sched.steps]/[sched.routes] when [MFDFT_PROF=1]. *)
 module Stats : sig
   type snapshot = {
     runs : int;  (** simulations executed *)
     steps : int;  (** event-loop iterations *)
     routes : int;  (** routing queries answered *)
-    cutoffs : int;  (** simulations aborted by {!makespan_until}'s bound *)
+    cutoffs : int;
+        (** always 0: simulations are never cut short.  Kept because
+            [perfbench/measure.ml] reads it. *)
   }
 
   val reset : unit -> unit
@@ -80,22 +81,3 @@ val makespan :
     application cannot complete (the PSO fitness maps this to infinity).
     Event recording is disabled — the fitness hot loop allocates no event
     list. *)
-
-val makespan_until :
-  ?options:options ->
-  ?prep:Prep.t ->
-  cutoff:float ->
-  Mf_arch.Chip.t ->
-  Mf_bioassay.Seqgraph.t ->
-  [ `Makespan of int | `Cutoff | `Failed of Schedule.failure ]
-(** Bounded-makespan entry point for branch-and-bound-style fitness: the
-    simulation aborts with [`Cutoff] as soon as simulated time strictly
-    exceeds [cutoff], i.e. as soon as the final makespan is guaranteed to
-    be [> cutoff].  Guarantees:
-    - [cutoff = infinity] never cuts and is bit-identical to {!makespan};
-    - if the true makespan [m <= cutoff], returns [`Makespan m] exactly;
-    - [`Cutoff] implies the true fitness (makespan or failure penalty)
-      exceeds [cutoff] — both because [m >= elapsed > cutoff] for
-      completing runs, and because the failure penalties ([Deadlock]/
-      [Timeout] at [10 * 1e5]) exceed any cutoff a horizon-bounded run can
-      reach ([cutoff < elapsed <= horizon = 1e6]). *)

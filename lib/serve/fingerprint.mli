@@ -18,8 +18,8 @@ type options = {
   seed : int;  (** PSO random seed *)
 }
 (** The submission options that determine the codesign result.  Execution
-    knobs that provably do not affect results ([jobs], [ilp_jobs],
-    [sched_cutoff] — all bit-identical by construction) are deliberately
+    knobs that provably do not affect results ([jobs], [ilp_jobs] — both
+    bit-identical by construction) are deliberately
     excluded, so a parallel solve serves later serial submissions and vice
     versa.  Wall-clock deadlines are excluded too: budgeted runs trade
     determinism for latency, so the serve layer never caches them. *)

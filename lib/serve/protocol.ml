@@ -169,3 +169,12 @@ let payload_line ~fingerprint (r : Codesign.result) =
 
 let error_line msg =
   Json.to_line (Json.obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
+
+let line_too_long_line ~limit =
+  Json.to_line
+    (Json.obj
+       [
+         ("ok", Json.Bool false);
+         ("error", Json.Str (Printf.sprintf "request line longer than %d bytes" limit));
+         ("code", Json.Str "line_too_long");
+       ])

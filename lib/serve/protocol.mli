@@ -58,3 +58,8 @@ val payload_line : fingerprint:string -> Mfdft.Codesign.result -> string
 
 val error_line : string -> string
 (** [{"ok": false, "error": msg}] *)
+
+val line_too_long_line : limit:int -> string
+(** The reply to a request line longer than [limit] bytes:
+    [{"ok":false,"error":...,"code":"line_too_long"}].  The daemon closes
+    the connection after sending it. *)

@@ -45,12 +45,63 @@ let ack_line fp ~cached ~job ~joined =
         ]
        @ if joined then [ ("joined", Json.Bool true) ] else []))
 
+(* The longest request line the daemon reads.  The largest inline
+   submission the family generators produce — storage size 18, the top of
+   its [bench -- scale] sweep, with chip and assay both sent as text — is a
+   4.7 KB line; 1 MiB leaves two hundred times that for hand-written chips
+   while bounding what one client can make the daemon hold. *)
+let max_line_bytes = 1 lsl 20
+
+(* Request lines off [fd], read in 64 KiB chunks.  [`Line l] comes without
+   its newline (a final unterminated line is returned too, as [input_line]
+   does); [`Too_long] once a line passes [max_line_bytes], leaving the rest
+   unread; [`Eof] at end of stream or on a read error. *)
+let line_reader fd =
+  let chunk = Bytes.create 65536 in
+  let pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 256 in
+  let take () =
+    let l = Buffer.contents line in
+    Buffer.clear line;
+    `Line l
+  in
+  let rec next () =
+    if !pos = !len then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next ()
+      | exception Unix.Unix_error _ -> `Eof
+      | 0 -> if Buffer.length line > 0 then take () else `Eof
+      | n ->
+        pos := 0;
+        len := n;
+        next ()
+    else begin
+      let stop = ref !pos in
+      while !stop < !len && Bytes.get chunk !stop <> '\n' do
+        incr stop
+      done;
+      if Buffer.length line + (!stop - !pos) > max_line_bytes then `Too_long
+      else begin
+        Buffer.add_subbytes line chunk !pos (!stop - !pos);
+        if !stop < !len then begin
+          pos := !stop + 1;
+          take ()
+        end
+        else begin
+          pos := !len;
+          next ()
+        end
+      end
+    end
+  in
+  next
+
 (* Per-connection output discipline: every write happens under [lock] after
    checking [alive], and the fd is only closed under the same lock once
    [alive] is false and no submitted job still holds a callback — so a
    solver-thread event can never race a close and hit a recycled fd. *)
 let handle_conn engine request_shutdown fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let next_line = line_reader fd in
   let oc = Unix.out_channel_of_descr fd in
   let lock = Mutex.create () in
   let alive = ref true in
@@ -152,9 +203,12 @@ let handle_conn engine request_shutdown fd =
       request_shutdown ()
   in
   let rec read_loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line ->
+    match next_line () with
+    | `Eof -> ()
+    | `Too_long ->
+      log "closing a connection: request line over %d bytes" max_line_bytes;
+      send (Protocol.line_too_long_line ~limit:max_line_bytes)
+    | `Line line ->
       let line = String.trim line in
       if line <> "" then (
         match Protocol.parse_request line with

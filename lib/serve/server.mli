@@ -26,6 +26,11 @@ type config = {
   checkpoint_every : int;  (** codesign snapshot cadence, outer iterations *)
 }
 
+val max_line_bytes : int
+(** The longest request line read (1 MiB).  A longer line is answered with
+    {!Protocol.line_too_long_line} and its connection closed; other
+    connections are unaffected. *)
+
 val run : ?tune:(Mfdft.Codesign.params -> Mfdft.Codesign.params) -> config -> unit
 (** Serve until shutdown is requested.  [tune] is passed to the engine
     (test harnesses shrink the solver budgets with it). *)

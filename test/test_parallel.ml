@@ -89,10 +89,10 @@ let reuse_prop =
 
 let sphere x = Array.fold_left (fun acc v -> acc +. ((v -. 0.5) ** 2.)) 0. x
 
-let test_run_batch_matches_serial_batch () =
+let test_batch_matches_serial_batch () =
   let outcome_with evaluator =
     let rng = Rng.create ~seed:17 in
-    Pso.run_batch ~rng ~dim:4 ~batch_fitness:evaluator ()
+    Pso.run ~rng ~dim:4 ~batch_fitness:evaluator ()
   in
   let serial = outcome_with (Array.map sphere) in
   let parallel =
@@ -106,12 +106,12 @@ let test_run_batch_matches_serial_batch () =
     parallel.Pso.best_position;
   check Alcotest.bool "converges" true (serial.Pso.best_fitness < 1e-2)
 
-let test_run_batch_counts_evaluations () =
+let test_batch_counts_evaluations () =
   let rng = Rng.create ~seed:5 in
   let params = { Pso.default_params with Pso.particles = 3; iterations = 7 } in
   let calls = ref 0 in
   let outcome =
-    Pso.run_batch ~params ~rng ~dim:2
+    Pso.run ~params ~rng ~dim:2
       ~batch_fitness:(fun xs ->
         calls := !calls + Array.length xs;
         Array.map sphere xs)
@@ -211,8 +211,8 @@ let () =
       ( "pso batch",
         [
           Alcotest.test_case "parallel batch matches serial" `Quick
-            test_run_batch_matches_serial_batch;
-          Alcotest.test_case "evaluation count" `Quick test_run_batch_counts_evaluations;
+            test_batch_matches_serial_batch;
+          Alcotest.test_case "evaluation count" `Quick test_batch_counts_evaluations;
         ] );
       ( "pool differential",
         [

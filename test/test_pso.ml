@@ -8,7 +8,7 @@ let sphere x =
 
 let test_minimises_sphere () =
   let rng = Rng.create ~seed:1 in
-  let outcome = Pso.run ~rng ~dim:4 ~fitness:sphere () in
+  let outcome = Pso.run ~rng ~dim:4 ~batch_fitness:(Array.map sphere) () in
   check Alcotest.bool "near optimum" true (outcome.Pso.best_fitness < 1e-3);
   Array.iter
     (fun v -> check Alcotest.bool "coordinates near 0.5" true (abs_float (v -. 0.5) < 0.1))
@@ -16,7 +16,7 @@ let test_minimises_sphere () =
 
 let test_trace_monotone () =
   let rng = Rng.create ~seed:2 in
-  let outcome = Pso.run ~rng ~dim:3 ~fitness:sphere () in
+  let outcome = Pso.run ~rng ~dim:3 ~batch_fitness:(Array.map sphere) () in
   let rec non_increasing = function
     | a :: (b :: _ as rest) -> a >= b -. 1e-12 && non_increasing rest
     | [ _ ] | [] -> true
@@ -28,7 +28,7 @@ let test_trace_monotone () =
 let test_deterministic () =
   let run () =
     let rng = Rng.create ~seed:7 in
-    (Pso.run ~rng ~dim:5 ~fitness:sphere ()).Pso.best_fitness
+    (Pso.run ~rng ~dim:5 ~batch_fitness:(Array.map sphere) ()).Pso.best_fitness
   in
   check (Alcotest.float 0.) "same seed, same result" (run ()) (run ())
 
@@ -36,7 +36,7 @@ let test_invalid_positions () =
   (* a fitness that rejects half the space still converges on the rest *)
   let fitness x = if x.(0) < 0.5 then infinity else (x.(0) -. 0.75) ** 2. in
   let rng = Rng.create ~seed:3 in
-  let outcome = Pso.run ~rng ~dim:1 ~fitness () in
+  let outcome = Pso.run ~rng ~dim:1 ~batch_fitness:(Array.map fitness) () in
   check Alcotest.bool "found valid region" true (outcome.Pso.best_fitness < 1e-3)
 
 let test_all_invalid () =
@@ -45,7 +45,7 @@ let test_all_invalid () =
     Pso.run
       ~params:{ Pso.default_params with Pso.iterations = 5 }
       ~rng ~dim:2
-      ~fitness:(fun _ -> infinity)
+      ~batch_fitness:(Array.map (fun _ -> infinity))
       ()
   in
   check Alcotest.bool "infinity reported" true (outcome.Pso.best_fitness = infinity)
@@ -57,7 +57,7 @@ let test_positions_in_box () =
     sphere x
   in
   let rng = Rng.create ~seed:5 in
-  ignore (Pso.run ~rng ~dim:3 ~fitness ());
+  ignore (Pso.run ~rng ~dim:3 ~batch_fitness:(Array.map fitness) ());
   check Alcotest.bool "never leaves the box" false !seen_out
 
 let test_evaluation_count () =
@@ -68,7 +68,7 @@ let test_evaluation_count () =
   in
   let params = { Pso.default_params with Pso.particles = 3; iterations = 10 } in
   let rng = Rng.create ~seed:6 in
-  let outcome = Pso.run ~params ~rng ~dim:2 ~fitness () in
+  let outcome = Pso.run ~params ~rng ~dim:2 ~batch_fitness:(Array.map fitness) () in
   (* init evals + per-iteration evals *)
   check Alcotest.int "evaluations" (3 + (3 * 10)) outcome.Pso.evaluations;
   check Alcotest.int "matches calls" !calls outcome.Pso.evaluations
@@ -80,7 +80,7 @@ let test_rosenbrock_progress () =
     ((1. -. a) ** 2.) +. (100. *. ((b -. (a *. a)) ** 2.))
   in
   let rng = Rng.create ~seed:8 in
-  let outcome = Pso.run ~rng ~dim:2 ~fitness:rosenbrock () in
+  let outcome = Pso.run ~rng ~dim:2 ~batch_fitness:(Array.map rosenbrock) () in
   let first = List.nth outcome.Pso.trace 0 in
   let last = List.nth outcome.Pso.trace (List.length outcome.Pso.trace - 1) in
   check Alcotest.bool "improved" true (last <= first);
@@ -89,7 +89,7 @@ let test_rosenbrock_progress () =
 let test_dim_guard () =
   let rng = Rng.create ~seed:9 in
   Alcotest.check_raises "dim 0" (Invalid_argument "Pso.run: dim must be positive") (fun () ->
-      ignore (Pso.run ~rng ~dim:0 ~fitness:sphere ()))
+      ignore (Pso.run ~rng ~dim:0 ~batch_fitness:(Array.map sphere) ()))
 
 let () =
   (* exact-value assertions require the fault-free pipeline *)

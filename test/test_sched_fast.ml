@@ -2,8 +2,9 @@
    maintained bitset/CSR implementation behind [Scheduler.run]/[makespan]
    must agree bit-for-bit with the first-principles reference
    ([Scheduler.run_reference], the seed implementation), on the benchmark
-   matrix and on random synthetic chips/assays/sharing schemes; and
-   [makespan_until] must honour its cutoff contract exactly. *)
+   matrix and on random synthetic chips/assays/sharing schemes.  A tiny
+   codesign on the scheduler-heavy ivd_chip x ivd pair is pinned exactly
+   and must not depend on the job count or on a kill/resume. *)
 
 module Chip = Mf_arch.Chip
 module Seqgraph = Mf_bioassay.Seqgraph
@@ -73,37 +74,9 @@ let test_prep_and_entries () =
           check result (name ^ " prep irrelevant") plain with_prep;
           let m = match plain with Ok s -> Some s.Schedule.makespan | Error _ -> None in
           check (Alcotest.option Alcotest.int) (name ^ " makespan entry") m
-            (Scheduler.makespan ~prep chip app);
-          let mu = Scheduler.makespan_until ~prep ~cutoff:infinity chip app in
-          (match (m, mu) with
-           | Some a, `Makespan b -> check Alcotest.int (name ^ " until=inf") a b
-           | None, (`Failed _ as f) ->
-             (match plain with
-              | Error e -> check failure (name ^ " until=inf failure") e (match f with `Failed x -> x)
-              | Ok _ -> assert false)
-           | _ -> Alcotest.failf "%s: makespan_until/makespan disagree" name))
+            (Scheduler.makespan ~prep chip app))
         assays)
     chips
-
-(* cutoff contract: cutoff = m completes with m, cutoff = m - 1 cuts,
-   cutoff = 0 cuts (for m > 0) *)
-let test_cutoff_semantics () =
-  let chip = Option.get (Benchmarks.by_name "ivd_chip") in
-  let prep = Prep.of_chip chip in
-  List.iter
-    (fun an ->
-      let app = Option.get (Assays.by_name an) in
-      let m = Option.get (Scheduler.makespan ~prep chip app) in
-      (match Scheduler.makespan_until ~prep ~cutoff:(float_of_int m) chip app with
-       | `Makespan m' -> check Alcotest.int (an ^ " cutoff=m completes") m m'
-       | `Cutoff | `Failed _ -> Alcotest.failf "%s: cutoff=m should complete" an);
-      (match Scheduler.makespan_until ~prep ~cutoff:(float_of_int (m - 1)) chip app with
-       | `Cutoff -> ()
-       | `Makespan _ | `Failed _ -> Alcotest.failf "%s: cutoff=m-1 should cut" an);
-      match Scheduler.makespan_until ~prep ~cutoff:0. chip app with
-      | `Cutoff -> ()
-      | `Makespan _ | `Failed _ -> Alcotest.failf "%s: cutoff=0 should cut" an)
-    assays
 
 (* [Prep.for_sharing] on a rewired chip equals building from scratch, and
    the fast path stays faithful under sharing-induced deadlocks *)
@@ -155,10 +128,10 @@ let qcheck_synth_differential =
       fast = slow)
 
 (* ------------------------------------------------------------------ *)
-(* The bounded-makespan early exit must be invisible in codesign results:
-   only the work changes, never the outcome. *)
+(* Codesign determinism on a tiny budget: the pair whose fitness loop is
+   dominated by schedule simulations. *)
 
-let tiny_params ~jobs ~sched_cutoff =
+let tiny_params ~jobs =
   {
     Codesign.quick_params with
     Codesign.pool_size = 2;
@@ -167,7 +140,6 @@ let tiny_params ~jobs ~sched_cutoff =
     inner = { Mf_pso.Pso.default_params with particles = 3; iterations = 3 };
     seed = 42;
     jobs;
-    sched_cutoff;
   }
 
 let fingerprint (r : Codesign.result) =
@@ -189,15 +161,30 @@ let codesign_run ?checkpoint params =
   | Ok r -> fingerprint r
   | Error f -> Alcotest.fail (Mf_util.Fail.to_string f)
 
-let test_codesign_cutoff_identity () =
-  let on = codesign_run (tiny_params ~jobs:1 ~sched_cutoff:true) in
-  let off = codesign_run (tiny_params ~jobs:1 ~sched_cutoff:false) in
-  check Alcotest.bool "cutoff on/off identical results" true (on = off);
-  let par = codesign_run (tiny_params ~jobs:4 ~sched_cutoff:true) in
-  check Alcotest.bool "cutoff on, jobs=4 identical" true (on = par)
+(* recorded when fitness simulations could still be cut short at the
+   particle's personal best: the full simulation reaches the same result *)
+let pinned =
+  ( Some 228,
+    Some 228,
+    Some 219,
+    Some 257,
+    7,
+    7,
+    17,
+    [ (12, 7); (13, 1); (14, 11); (15, 6); (16, 10); (17, 7); (18, 5) ],
+    [ 228.; 228.; 228. ],
+    144 )
 
-let test_codesign_cutoff_resume () =
-  let params = tiny_params ~jobs:1 ~sched_cutoff:true in
+let test_codesign_pinned () =
+  check Alcotest.bool "tiny ivd_chip/ivd fingerprint" true
+    (codesign_run (tiny_params ~jobs:1) = pinned)
+
+let test_codesign_jobs () =
+  check Alcotest.bool "jobs=1 ≡ jobs=4" true
+    (codesign_run (tiny_params ~jobs:1) = codesign_run (tiny_params ~jobs:4))
+
+let test_codesign_resume () =
+  let params = tiny_params ~jobs:1 in
   let path = Filename.temp_file "mfdft_sched_ckpt" ".bin" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
@@ -215,7 +202,7 @@ let test_codesign_cutoff_resume () =
         codesign_run params
           ~checkpoint:{ Codesign.path; every = 0; resume = true; stop_after = None }
       in
-      check Alcotest.bool "resumed ≡ uninterrupted with cutoff on" true
+      check Alcotest.bool "resumed ≡ uninterrupted" true
         (uninterrupted = resumed))
 
 let () =
@@ -229,11 +216,10 @@ let () =
           Alcotest.test_case "sharing schemes" `Quick test_sharing_differential;
           qt qcheck_synth_differential;
         ] );
-      ( "cutoff",
+      ( "determinism",
         [
-          Alcotest.test_case "semantics" `Quick test_cutoff_semantics;
-          Alcotest.test_case "codesign identity (on/off, jobs=4)" `Quick
-            test_codesign_cutoff_identity;
-          Alcotest.test_case "codesign identity under resume" `Quick test_codesign_cutoff_resume;
+          Alcotest.test_case "pinned fingerprint" `Quick test_codesign_pinned;
+          Alcotest.test_case "jobs=1 vs jobs=4" `Quick test_codesign_jobs;
+          Alcotest.test_case "kill/resume vs uninterrupted" `Quick test_codesign_resume;
         ] );
     ]

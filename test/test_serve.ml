@@ -518,6 +518,72 @@ let test_deadline_jobs_bypass_cache_and_dedup () =
   check Alcotest.bool "deadline-free result cached" true (Engine.find_cached eng fp <> None);
   Engine.shutdown eng
 
+(* ------------------------------------------------------------------ *)
+(* Daemon: a request line over the cap gets the typed error and loses its
+   connection; the daemon keeps serving every other connection. *)
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (fd, Unix.in_channel_of_descr fd)
+
+let write_line fd line =
+  let b = Bytes.of_string (line ^ "\n") in
+  (* the daemon stops reading an over-long line and closes: the rest of the
+     write fails, the reply already queued stays readable *)
+  try ignore (Unix.write fd b 0 (Bytes.length b))
+  with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+
+let bool_field name j = Option.bind (Json.member name j) Json.bool_of
+
+let request (fd, ic) line =
+  write_line fd line;
+  Result.get_ok (Json.parse (input_line ic))
+
+let test_daemon_oversized_line () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "d.sock" in
+  let config =
+    {
+      Mf_serve.Server.endpoint = Mf_serve.Server.Unix_socket path;
+      state_dir = Filename.concat dir "state";
+      jobs = 1;
+      mem_capacity = 4;
+      disk_capacity = 4;
+      checkpoint_every = 1;
+    }
+  in
+  let daemon = Thread.create (fun () -> Mf_serve.Server.run ~tune config) () in
+  let rec wait_socket n =
+    if not (Sys.file_exists path) then
+      if n = 0 then Alcotest.fail "daemon socket never appeared"
+      else begin
+        Thread.delay 0.05;
+        wait_socket (n - 1)
+      end
+  in
+  wait_socket 200;
+  let other = connect path in
+  let big = connect path in
+  let pad = String.make Mf_serve.Server.max_line_bytes 'x' in
+  let reply = request big (Printf.sprintf {|{"cmd":"ping","pad":"%s"}|} pad) in
+  check Alcotest.(option bool) "rejected" (Some false) (bool_field "ok" reply);
+  check Alcotest.(option string) "typed error" (Some "line_too_long") (Json.str_field "code" reply);
+  check Alcotest.bool "connection closed" true
+    (match input_line (snd big) with _ -> false | exception (End_of_file | Sys_error _) -> true);
+  Unix.close (fst big);
+  let pong = request other {|{"cmd":"ping"}|} in
+  check Alcotest.(option bool) "open connection still served" (Some true)
+    (bool_field "pong" pong);
+  Unix.close (fst other);
+  let fresh = connect path in
+  let stats = request fresh {|{"cmd":"stats"}|} in
+  check Alcotest.(option bool) "stats on a new connection" (Some true) (bool_field "ok" stats);
+  ignore (request fresh {|{"cmd":"shutdown"}|});
+  Unix.close (fst fresh);
+  Thread.join daemon
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   (* byte-identity assertions require the fault-free pipeline *)
@@ -563,4 +629,6 @@ let () =
           Alcotest.test_case "deadline bypasses cache and dedup" `Slow
             test_deadline_jobs_bypass_cache_and_dedup;
         ] );
+      ( "daemon",
+        [ Alcotest.test_case "oversized request line" `Quick test_daemon_oversized_line ] );
     ]
