@@ -11,7 +11,7 @@
      dune exec bench/main.exe -- verify       -- static-verification overhead vs generation
      dune exec bench/main.exe -- perf         -- LP-core counters, gated vs BENCH_ilp.json
      dune exec bench/main.exe -- perf-baseline -- rewrite the BENCH_ilp.json baseline
-     dune exec bench/main.exe -- ilp          -- parallel B&B jobs sweep + presolve/cut ablation
+     dune exec bench/main.exe -- ilp          -- presolve/cover-cut ablation
      dune exec bench/main.exe -- sched        -- scheduler fast path, gated vs BENCH_sched.json
      dune exec bench/main.exe -- sched-baseline -- rewrite the BENCH_sched.json baseline
      dune exec bench/main.exe -- scale        -- chip-family size sweep, gated vs BENCH_scale.json
@@ -521,77 +521,23 @@ let perf ~write_baseline () =
   Mf_bench.gate Mf_bench.ilp ~jobs ~write_baseline entries
 
 (* ------------------------------------------------------------------ *)
-(* Parallel branch-and-bound: jobs sweep over the path-synthesis ILP on
-   every benchmark chip, plus the presolve / cover-cut ablation.  The
-   differential test suite pins the outputs bit-identical across job
-   counts; here we report the wall-clock ratio (on a single-core
-   container the sweep measures dispatch overhead, not speedup — the
-   identity columns are the point there) and the node-count effect of
-   the root reductions at equal objectives.  Report-only: the gated
-   counters live in [perf] / BENCH_ilp.json. *)
+(* ILP root reductions: the presolve / cover-cut ablation over the
+   path-synthesis ILP on every benchmark chip and over a knapsack corpus,
+   reporting the node-count effect at equal objectives.  Report-only: the
+   gated counters live in [perf] / BENCH_ilp.json. *)
 
-let ilp_sweep () =
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "@.== ILP: parallel branch-and-bound jobs sweep (%d core%s available) ==@.@."
-    cores
-    (if cores = 1 then "" else "s");
-  if cores = 1 then
-    Format.printf
-      "   note: single core available — the jobs sweep measures dispatch overhead,@.\
-      \   not speedup; the identical-output columns are the point here@.@.";
-  let fingerprint (c : Mf_testgen.Pathgen.config) =
-    ( c.Mf_testgen.Pathgen.added_edges,
-      c.Mf_testgen.Pathgen.paths,
-      c.Mf_testgen.Pathgen.n_paths,
-      c.Mf_testgen.Pathgen.ilp_nodes,
-      c.Mf_testgen.Pathgen.loop_cuts,
-      c.Mf_testgen.Pathgen.solver,
-      c.Mf_testgen.Pathgen.degraded )
-  in
-  let run ?presolve ?cuts ?pool chip =
-    let t0 = Unix.gettimeofday () in
-    let r = Mf_testgen.Pathgen.generate ~node_limit:400 ?presolve ?cuts ?pool chip in
-    ((Unix.gettimeofday () -. t0) *. 1e3, r)
-  in
-  Format.printf "%-12s %5s %10s %8s %8s %7s %10s@." "chip" "jobs" "wall[ms]" "nodes"
-    "batches" "covers" "identical";
+let ilp_ablation () =
+  Format.printf "@.== ILP: presolve + cover-cut ablation ==@.";
+  let run ?presolve ?cuts chip = Mf_testgen.Pathgen.generate ~node_limit:400 ?presolve ?cuts chip in
   let mismatches = ref [] in
-  List.iter
-    (fun chip_name ->
-      let chip = Option.get (Benchmarks.by_name chip_name) in
-      let wall1, serial = run chip in
-      match serial with
-      | Error f ->
-        Format.printf "%-12s %5d %s@." chip_name 1 (Mf_util.Fail.to_string f)
-      | Ok base ->
-        Format.printf "%-12s %5d %10.1f %8d %8d %7d %10s@." chip_name 1 wall1
-          base.Mf_testgen.Pathgen.ilp_nodes base.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_batches
-          base.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_cover_cuts "-";
-        List.iter
-          (fun j ->
-            let wall, r = Domain_pool.with_pool ~jobs:j (fun pool -> run ~pool chip) in
-            match r with
-            | Error f ->
-              mismatches := Printf.sprintf "%s jobs=%d failed: %s" chip_name j
-                              (Mf_util.Fail.to_string f) :: !mismatches
-            | Ok c ->
-              let same = fingerprint c = fingerprint base in
-              if not same then
-                mismatches := Printf.sprintf "%s: jobs=%d diverged from jobs=1" chip_name j
-                              :: !mismatches;
-              Format.printf "%-12s %5d %10.1f %8d %8d %7d %10b@." chip_name j wall
-                c.Mf_testgen.Pathgen.ilp_nodes c.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_batches
-                c.Mf_testgen.Pathgen.solver.Mf_ilp.Ilp.rs_cover_cuts same)
-          [ 4; 8 ])
-    chips;
   Format.printf "@.-- presolve + cover cuts: explored nodes at equal objectives --@.";
   Format.printf "%-12s %10s %10s %10s %10s@." "chip" "nodes on" "nodes off" "reduction"
     "objective";
   List.iter
     (fun chip_name ->
       let chip = Option.get (Benchmarks.by_name chip_name) in
-      let _, on = run chip in
-      let _, off = run ~presolve:false ~cuts:false chip in
+      let on = run chip in
+      let off = run ~presolve:false ~cuts:false chip in
       match (on, off) with
       | Ok on, Ok off ->
         let obj c = List.length c.Mf_testgen.Pathgen.added_edges in
@@ -658,9 +604,9 @@ let ilp_sweep () =
     !tot_on !tot_off
     (100. *. (1. -. (float_of_int !tot_on /. float_of_int (max 1 !tot_off))));
   match !mismatches with
-  | [] -> Format.printf "@.ilp sweep: PASS (jobs=1/4/8 bit-identical, ablation objectives equal)@."
+  | [] -> Format.printf "@.ilp ablation: PASS (objectives equal with and without reductions)@."
   | ms ->
-    Format.printf "@.ilp sweep: FAIL@.";
+    Format.printf "@.ilp ablation: FAIL@.";
     List.iter (fun m -> Format.printf "  - %s@." m) (List.rev ms);
     exit 1
 
@@ -1234,7 +1180,7 @@ let () =
   if List.mem "perf" args then perf ~write_baseline:false ();
   if List.mem "perf-baseline" args then perf ~write_baseline:true ();
   (* ilp is explicit-only: jobs-sweep identity check exits nonzero on divergence *)
-  if List.mem "ilp" args then ilp_sweep ();
+  if List.mem "ilp" args then ilp_ablation ();
   (* sched is explicit-only for the same reason: gated vs BENCH_sched.json *)
   if List.mem "sched" args then sched ~write_baseline:false ();
   if List.mem "sched-baseline" args then sched ~write_baseline:true ();

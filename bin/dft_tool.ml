@@ -215,8 +215,8 @@ let schedule_cmd =
     Term.(const run $ chip_arg $ assay_arg $ transport_cost $ verbose)
 
 let codesign_cmd =
-  let run chip (assay_name, app) full seed jobs ilp_jobs report deadline ckpt_path ckpt_every
-      resume stop_after chaos cert_prefix =
+  let run chip (assay_name, app) full seed jobs report deadline ckpt_path ckpt_every resume
+      stop_after chaos cert_prefix =
     (match chaos with
      | None -> ()
      | Some rate ->
@@ -233,10 +233,9 @@ let codesign_cmd =
       | Some path -> Some { Codesign.path; every = ckpt_every; resume; stop_after }
     in
     let jobs = match jobs with Some j -> max 1 j | None -> 1 in
-    let ilp_jobs = max 1 ilp_jobs in
     let params =
       let base = if full then Codesign.default_params else Codesign.quick_params in
-      { base with Codesign.seed; jobs; ilp_jobs }
+      { base with Codesign.seed; jobs }
     in
     Format.printf "codesign %s / %s (%s budgets, seed %d, %d job%s)...@." (Chip.name chip)
       assay_name
@@ -294,16 +293,6 @@ let codesign_cmd =
             "Evaluate PSO particles on $(docv) domains. Results are identical for any value; \
              only the wall clock changes. Defaults to 1 (serial).")
   in
-  let ilp_jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "ilp-jobs" ] ~docv:"N"
-          ~doc:
-            "Parallelise inside each ILP branch-and-bound (batched relaxation solves) on \
-             $(docv) domains during pool construction; pool attempts then run sequentially. \
-             Results are bit-identical for any value. Defaults to 1.")
-  in
   let report =
     Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc:"Write a Markdown report.")
   in
@@ -359,8 +348,8 @@ let codesign_cmd =
   Cmd.v
     (Cmd.info "codesign" ~doc:"Run the full DFT + valve-sharing codesign flow (Sec. 4.2).")
     Term.(
-      const run $ chip_arg $ assay_arg $ full $ seed $ jobs $ ilp_jobs $ report $ deadline_arg
-      $ ckpt_path $ ckpt_every $ resume $ stop_after $ chaos $ cert_prefix)
+      const run $ chip_arg $ assay_arg $ full $ seed $ jobs $ report $ deadline_arg $ ckpt_path
+      $ ckpt_every $ resume $ stop_after $ chaos $ cert_prefix)
 
 let repair_cmd =
   let module Reconfig = Mf_repair.Reconfig in

@@ -15,10 +15,6 @@ type params = {
   scheduler : Scheduler.options;
   ilp_node_limit : int;
   jobs : int;
-  ilp_jobs : int;
-      (* domains parallelising each branch-and-bound's relaxation batches
-         during pool construction; 1 keeps the search inline.  Bit-identical
-         results for any value (see Mf_ilp.Ilp). *)
 }
 
 let default_params =
@@ -30,7 +26,6 @@ let default_params =
     scheduler = Scheduler.default_options;
     ilp_node_limit = 4_000;
     jobs = 1;
-    ilp_jobs = 1;
   }
 
 let quick_params =
@@ -314,15 +309,8 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
          ignore (Rng.split rng);
          Ok pool
        | None ->
-         if params.ilp_jobs > 1 then
-           (* fine-grained mode: parallelise inside each branch-and-bound
-              instead of across attempts (the two must not nest) *)
-           Domain_pool.with_pool ~jobs:params.ilp_jobs @@ fun ilp_pool ->
-           Pool.build ~size:params.pool_size ~node_limit:params.ilp_node_limit ~ilp_pool
-             ?budget ~rng:(Rng.split rng) chip
-         else
-           Pool.build ~size:params.pool_size ~node_limit:params.ilp_node_limit ~domains:dpool
-             ?budget ~rng:(Rng.split rng) chip)
+         Pool.build ~size:params.pool_size ~node_limit:params.ilp_node_limit ~domains:dpool
+           ?budget ~rng:(Rng.split rng) chip)
   in
   match pool with
   | Error f -> Error f

@@ -22,13 +22,6 @@ type params = {
       (** domains evaluating outer particles (and pool candidates)
           concurrently; results are bit-identical for any value ≥ 1 because
           every rng draw stays on the coordinating domain (default 1) *)
-  ilp_jobs : int;
-      (** domains parallelising {e inside} each branch-and-bound during
-          pool construction (the batched relaxation solves of
-          {!Mf_ilp.Ilp.solve}).  When > 1 the pool attempts run
-          sequentially, each using these domains — the fine-grained
-          counterpart to [jobs]' coarse per-attempt fan-out; the two do not
-          nest.  Bit-identical results for any value ≥ 1 (default 1) *)
 }
 
 val default_params : params

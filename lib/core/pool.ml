@@ -52,7 +52,7 @@ let materialise chip (config : Pathgen.config) =
         malformed = report.Mf_faults.Coverage.malformed;
       }
 
-let build ?(size = 8) ?(node_limit = 20_000) ?domains ?ilp_pool ?budget ~rng chip =
+let build ?(size = 8) ?(node_limit = 20_000) ?domains ?budget ~rng chip =
   Mf_util.Prof.time "pool.build" @@ fun () ->
   let n_edges = Grid.n_edges (Chip.grid chip) in
   let channels = Chip.channel_edges chip in
@@ -71,7 +71,7 @@ let build ?(size = 8) ?(node_limit = 20_000) ?domains ?ilp_pool ?budget ~rng chi
      the weights, so the attempts fan out; duplicate-key candidates cost a
      redundant materialisation but the deduplicated result is identical *)
   let solve weights =
-    match Pathgen.generate ~weights ~node_limit ?budget ?pool:ilp_pool chip with
+    match Pathgen.generate ~weights ~node_limit ?budget chip with
     | Error _ -> None
     | Ok config ->
       let key = String.concat "," (List.map string_of_int config.added_edges) in
@@ -82,19 +82,13 @@ let build ?(size = 8) ?(node_limit = 20_000) ?domains ?ilp_pool ?budget ~rng chi
       in
       Some (key, objective, materialise chip config)
   in
-  (* two orthogonal parallelism axes, used one at a time: [domains] fans the
-     attempts out (coarse-grained), [ilp_pool] parallelises inside each
-     branch-and-bound (fine-grained).  When an [ilp_pool] is given the
-     attempts run sequentially here — its domains must not be re-entered —
-     and each attempt's search uses them for its relaxation batches. *)
   let candidates =
-    match (domains, ilp_pool) with
-    | Some dpool, None ->
+    let fan_out dpool =
       Mf_util.Domain_pool.map_bounded dpool ?budget ~fallback:(fun _ -> None) solve weightss
-    | _ ->
-      Array.map
-        (fun w -> if Mf_util.Budget.over budget then None else solve w)
-        weightss
+    in
+    match domains with
+    | Some dpool -> fan_out dpool
+    | None -> Mf_util.Domain_pool.with_pool ~jobs:1 fan_out
   in
   let attempt_objectives = Array.map (Option.map (fun (_, o, _) -> o)) candidates in
   let seen = Hashtbl.create 8 in

@@ -35,7 +35,6 @@ val build :
   ?size:int ->
   ?node_limit:int ->
   ?domains:Mf_util.Domain_pool.t ->
-  ?ilp_pool:Mf_util.Domain_pool.t ->
   ?budget:Mf_util.Budget.t ->
   rng:Mf_util.Rng.t ->
   Mf_arch.Chip.t ->
@@ -46,13 +45,7 @@ val build :
     under {!rejects}, and returns the pool.  [domains] fans the per-attempt
     ILP solves and fault simulations out across a domain pool; all weight
     perturbations are drawn up front on the caller, so the resulting pool
-    is identical whatever the parallelism.  [ilp_pool] instead parallelises
-    {e inside} each attempt's branch-and-bound (the batched relaxation
-    solves of {!Mf_ilp.Ilp.solve}); it runs the attempts sequentially and
-    takes precedence over [domains] — pass one or the other, depending on
-    whether the workload is many cheap solves (coarse) or few expensive
-    ones (fine).  Either way the pool is bit-identical to the serial build.
-    [budget] bounds wall-clock
+    is identical whatever the parallelism.  [budget] bounds wall-clock
     time: attempts starting after the deadline are skipped and each ILP
     solve degrades to the greedy heuristic when time runs out.
 

@@ -1,6 +1,5 @@
 module Lp = Mf_lp.Lp
 module Heap = Mf_util.Heap
-module Domain_pool = Mf_util.Domain_pool
 
 type var = Lp.var
 
@@ -61,7 +60,6 @@ type t = {
   mutable binaries : var list; (* reversed *)
   mutable bin_objs : float list; (* reversed, parallel to [binaries] *)
   mutable cont_obj : bool; (* a continuous variable carries objective weight *)
-  mutable nodes_explored : int;
   mutable last_stats : run_stats;
 }
 
@@ -77,12 +75,9 @@ type outcome =
 type lazy_cut = (float * var) list * relation * float
 
 (* Process-wide branch-and-bound telemetry, mirroring {!Mf_lp.Simplex.Stats}.
-   Under parallel solves every counter is still bumped from the coordinating
-   domain only — workers hand their per-relaxation effort back as data and
-   the coordinator folds it in batch order — so totals are deterministic for
-   any job count.  [warm_eligible] counts non-root nodes that arrived with a
-   usable warm basis; [warm_taken] those whose relaxation the dual simplex
-   actually re-optimised from it. *)
+   [warm_eligible] counts non-root nodes that arrived with a usable warm
+   basis; [warm_taken] those whose relaxation the dual simplex actually
+   re-optimised from it. *)
 module Stats = struct
   let nodes = Atomic.make 0
   let warm_eligible = Atomic.make 0
@@ -101,11 +96,9 @@ let create () =
     binaries = [];
     bin_objs = [];
     cont_obj = false;
-    nodes_explored = 0;
     last_stats = zero_stats;
   }
 
-let nodes_explored t = t.nodes_explored
 let last_stats t = t.last_stats
 
 let add_binary ?(obj = 0.) t =
@@ -132,7 +125,7 @@ let int_tol = 1e-6
    small depth bonus so ties resolve as a dive (reaches integral incumbents
    quickly); the heap's stable sequence key breaks remaining ties in push
    order, which makes the pop sequence a pure function of the search
-   trajectory — the determinism law the parallel batches rely on. *)
+   trajectory. *)
 type node = { fixings : (var * float) list; bound : float; parent : Lp.basis option }
 
 let node_priority bound depth = bound -. (1e-7 *. float_of_int depth)
@@ -141,10 +134,8 @@ let node_priority bound depth = bound -. (1e-7 *. float_of_int depth)
    An entry whose row count still matches answers an identical subproblem
    outright (no LP solve); one made stale by cut installation still seeds
    the re-solve with its basis — the cut rows extend it block-triangularly
-   inside {!Mf_lp.Lp}.  The table lives on the coordinating domain:
-   lookups happen at batch assembly and insertions when results are folded
-   back in batch order, so the hot path carries no locks and the hit
-   pattern (hence [rs_cache_hits]) is identical for any job count. *)
+   inside {!Mf_lp.Lp}.  Lookups happen at batch assembly and insertions
+   when results are reduced in batch order. *)
 type cache_entry = {
   ce_rows : int;
   ce_obj : float;
@@ -168,16 +159,12 @@ let cache_key fixings =
     sorted;
   Buffer.contents key
 
-(* Chaos [ilp-worker] strikes surface as this exception inside a worker
-   task; the batch drains fully before it is rethrown as one typed
-   failure. *)
-exception Worker_strike
-
-(* Up to [bmax] open nodes are popped per round and their relaxations
-   solved concurrently; everything else — pruning, incumbent updates,
-   branching, cut installation — happens sequentially on the coordinator
-   in batch order.  The batch size depends only on the heap state, never
-   on the job count, so the search trajectory is jobs-invariant. *)
+(* Up to [bmax] open nodes are popped per round, chosen by the heap state
+   alone, and all their uncached relaxations are solved against the model
+   as it stands at dispatch; only then are the results reduced — pruning,
+   incumbent updates, branching, cut installation — in batch order.  This
+   batch-synchronous law fixes the node order, pivot counts and objectives
+   the benchmark baselines pin (DESIGN.md §15). *)
 let bmax = 16
 
 (* 0-1 knapsack cover cuts, separated at the root.  A row all of whose
@@ -291,7 +278,7 @@ let separate_covers lp ~is_binary ~n_rows ~seen ~max_cuts values =
 
 let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
     ?(branch_priority = fun _ -> 0) ?(upper_bound = infinity) ?(warm = true)
-    ?(presolve = true) ?(cuts = true) ?pool t =
+    ?(presolve = true) ?(cuts = true) t =
   (* Fault injection: truncate the node budget so callers exercise their
      [Node_limit]/[Feasible] handling on real models. *)
   let node_limit =
@@ -306,7 +293,6 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
   let nodes = ref 0 in
   let root_bound = ref neg_infinity in
   let finish ?(best_bound = infinity) outcome =
-    t.nodes_explored <- !nodes;
     stats := { !stats with rs_root_bound = !root_bound; rs_best_bound = best_bound };
     t.last_stats <- !stats;
     Mf_util.Prof.add_count "ilp.solves" 1;
@@ -402,12 +388,6 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
           }
       | _ -> ()
     in
-    (* one relaxation, executed on whichever domain picks the task up; pure
-       in the (model, fixings, seed basis) inputs *)
-    let relax_task fixings seed () =
-      if Mf_util.Chaos.strike Ilp_worker then raise Worker_strike;
-      Lp.solve_b ?budget ~fix:fixings ?warm:seed t.lp
-    in
     let debug = Sys.getenv_opt "MFDFT_ILP_DEBUG" <> None in
     let t_start = Sys.time () in
     (* ---- root: cover-cut rounds ---- *)
@@ -477,7 +457,6 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
     end;
     if !root_pushable && not !root_infeasible && !aborted = None then push_node !root;
     (* ---- batched best-first search ---- *)
-    let jobs = match pool with None -> 1 | Some p -> Domain_pool.jobs p in
     let batch_no = ref 0 in
     let rec loop () =
       if !aborted <> None then ()
@@ -508,9 +487,11 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
               !batch_no (Array.length batch) !nodes (Lp.n_rows t.lp) !incumbent_obj
               (Sys.time () -. t_start);
           let rows_at_dispatch = Lp.n_rows t.lp in
-          (* cache consultation and warm-seed selection stay on the
-             coordinator, in batch order *)
-          let prepared =
+          (* cache consultation, warm-seed selection and every uncached
+             relaxation, in batch order and against the model as it stands
+             at dispatch: no result is used before the whole round is
+             solved *)
+          let solved =
             Array.map
               (fun node ->
                 let key = if warm then cache_key node.fixings else "" in
@@ -535,38 +516,8 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
                     Atomic.incr Stats.warm_eligible;
                     stats := { !stats with rs_warm_eligible = !stats.rs_warm_eligible + 1 }
                   end;
-                  `Solve (key, seed))
+                  `Solved (key, Lp.solve_b ?budget ~fix:node.fixings ?warm:seed t.lp))
               batch
-          in
-          (* fan the uncached relaxations out; harvest in batch order so a
-             worker failure is drained, not raced *)
-          let solved =
-            match pool with
-            | Some p when jobs > 1 ->
-              Lp.prepare t.lp;
-              let futures =
-                Array.mapi
-                  (fun i -> function
-                    | `Cached _ -> None
-                    | `Solve (_, seed) ->
-                      Some (Domain_pool.submit p (relax_task batch.(i).fixings seed)))
-                  prepared
-              in
-              Array.map
-                (Option.map (fun fut ->
-                     match Domain_pool.await p fut with
-                     | r -> Ok r
-                     | exception e -> Error e))
-                futures
-            | _ ->
-              Array.mapi
-                (fun i -> function
-                  | `Cached _ -> None
-                  | `Solve (_, seed) -> (
-                    match relax_task batch.(i).fixings seed () with
-                    | r -> Some (Ok r)
-                    | exception e -> Some (Error e)))
-                prepared
           in
           (* sequential reduction, strictly in batch order *)
           let cuts_installed = ref false in
@@ -574,131 +525,118 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
             (fun i node ->
               if !aborted = None then
                 if !cuts_installed then begin
-                  (* the model grew under this in-flight relaxation: fold
-                     the effort spent (the batch is jobs-invariant, so the
-                     totals stay deterministic), discard the stale result
-                     and re-queue the node under the same priority law *)
+                  (* the model grew under this relaxation: fold the effort
+                     spent, discard the stale result and re-queue the node
+                     under the same priority law *)
                   (match solved.(i) with
-                   | Some (Ok (_, _, info)) -> fold_info info
-                   | Some (Error _) | None -> ());
+                   | `Solved (_, (_, _, info)) -> fold_info info
+                   | `Cached _ -> ());
                   push_node node
                 end
                 else begin
-                  let outcome =
-                    match (prepared.(i), solved.(i)) with
-                    | `Cached (rel, basis), _ -> Some (rel, basis)
-                    | `Solve (key, _), Some (Ok (rel, basis, info)) ->
+                  let rel, basis =
+                    match solved.(i) with
+                    | `Cached (rel, basis) -> (rel, basis)
+                    | `Solved (key, (rel, basis, info)) ->
                       fold_info info;
                       cache_store key rows_at_dispatch rel basis;
-                      Some (rel, basis)
-                    | `Solve _, Some (Error e) ->
-                      abort
-                        (Mf_util.Fail.v ~nodes:!nodes Mf_util.Fail.Ilp
-                           (Printf.sprintf "relaxation worker failed: %s"
-                              (match e with
-                               | Worker_strike -> "chaos ilp-worker strike"
-                               | e -> Printexc.to_string e)));
-                      None
-                    | `Solve _, None -> assert false
+                      (rel, basis)
                   in
-                  match outcome with
-                  | None -> ()
-                  | Some (rel, basis) -> (
-                    (* without root cut rounds the first root relaxation
-                       is solved here *)
-                    (if node.fixings = [] && !root_bound = neg_infinity then
-                       match rel with
-                       | Lp.Optimal { objective; _ } | Lp.Feasible { objective; _ } ->
-                         root_bound := objective
-                       | Lp.Infeasible -> root_bound := infinity
-                       | Lp.Iter_limit | Lp.Numerical _ | Lp.Unbounded -> ());
-                    match rel with
-                    | Lp.Infeasible -> ()
-                    | Lp.Iter_limit | Lp.Numerical _ ->
-                      (* distress in one relaxation prunes that subtree
-                         rather than aborting the whole search; without a
-                         proven bound the prune is heuristic, so optimality
-                         can no longer be certified *)
-                      weakened := true
-                    | Lp.Unbounded ->
-                      (* an unbounded relaxation is a model defect, not a
-                         resource outcome: surface it as a typed failure so
-                         callers can degrade instead of crashing *)
-                      abort
-                        (Mf_util.Fail.v ~nodes:!nodes Mf_util.Fail.Ilp
-                           "LP relaxation unbounded")
-                    | Lp.Optimal { objective; values } | Lp.Feasible { objective; values }
-                      ->
-                      (match rel with Lp.Feasible _ -> weakened := true | _ -> ());
-                      if objective >= !incumbent_obj -. 1e-9 then ()
-                      else begin
-                        let branch_var = most_fractional values in
-                        if branch_var < 0 then begin
-                          (* integral candidate: snap tiny residues and make
-                             the reported objective a function of the snapped
-                             solution rather than of the LP's float path to it
-                             — exact when the objective lives entirely on the
-                             binaries (integral data sums exactly), a delta
-                             correction otherwise *)
-                          let delta = ref 0. in
-                          Array.iteri
-                            (fun i v ->
-                              let x = values.(v) in
-                              let r = Float.round x in
-                              if r <> x then begin
-                                values.(v) <- r;
-                                delta := !delta +. (bin_objs.(i) *. (r -. x))
-                              end)
-                            binaries;
-                          let objective =
-                            if t.cont_obj then objective +. !delta
-                            else begin
-                              let o = ref 0. in
-                              Array.iteri
-                                (fun i v -> o := !o +. (bin_objs.(i) *. values.(v)))
-                                binaries;
-                              !o
-                            end
-                          in
-                          let candidate = { objective; values } in
-                          match lazy_cuts candidate with
-                          | [] ->
-                            incumbent := Some candidate;
-                            incumbent_obj := objective
-                          | cs ->
-                            List.iter (fun (terms, rel, rhs) -> add_row t terms rel rhs) cs;
-                            (* re-explore this subproblem under the new
-                               cuts, seeded by the basis just proved optimal
-                               for it (the cut rows only extend it); the
-                               rest of the batch re-queues unchanged *)
-                            cuts_installed := true;
-                            push_node
-                              {
-                                node with
-                                bound = objective;
-                                parent =
-                                  (match basis with Some _ -> basis | None -> node.parent);
-                              }
-                        end
-                        else begin
-                          let child x =
+                  (* without root cut rounds the first root relaxation
+                     is solved here *)
+                  (if node.fixings = [] && !root_bound = neg_infinity then
+                     match rel with
+                     | Lp.Optimal { objective; _ } | Lp.Feasible { objective; _ } ->
+                       root_bound := objective
+                     | Lp.Infeasible -> root_bound := infinity
+                     | Lp.Iter_limit | Lp.Numerical _ | Lp.Unbounded -> ());
+                  match rel with
+                  | Lp.Infeasible -> ()
+                  | Lp.Iter_limit | Lp.Numerical _ ->
+                    (* distress in one relaxation prunes that subtree
+                       rather than aborting the whole search; without a
+                       proven bound the prune is heuristic, so optimality
+                       can no longer be certified *)
+                    weakened := true
+                  | Lp.Unbounded ->
+                    (* an unbounded relaxation is a model defect, not a
+                       resource outcome: surface it as a typed failure so
+                       callers can degrade instead of crashing *)
+                    abort
+                      (Mf_util.Fail.v ~nodes:!nodes Mf_util.Fail.Ilp
+                         "LP relaxation unbounded")
+                  | Lp.Optimal { objective; values } | Lp.Feasible { objective; values }
+                    ->
+                    (match rel with Lp.Feasible _ -> weakened := true | _ -> ());
+                    if objective >= !incumbent_obj -. 1e-9 then ()
+                    else begin
+                      let branch_var = most_fractional values in
+                      if branch_var < 0 then begin
+                        (* integral candidate: snap tiny residues and make
+                           the reported objective a function of the snapped
+                           solution rather than of the LP's float path to it
+                           — exact when the objective lives entirely on the
+                           binaries (integral data sums exactly), a delta
+                           correction otherwise *)
+                        let delta = ref 0. in
+                        Array.iteri
+                          (fun i v ->
+                            let x = values.(v) in
+                            let r = Float.round x in
+                            if r <> x then begin
+                              values.(v) <- r;
+                              delta := !delta +. (bin_objs.(i) *. (r -. x))
+                            end)
+                          binaries;
+                        let objective =
+                          if t.cont_obj then objective +. !delta
+                          else begin
+                            let o = ref 0. in
+                            Array.iteri
+                              (fun i v -> o := !o +. (bin_objs.(i) *. values.(v)))
+                              binaries;
+                            !o
+                          end
+                        in
+                        let candidate = { objective; values } in
+                        match lazy_cuts candidate with
+                        | [] ->
+                          incumbent := Some candidate;
+                          incumbent_obj := objective
+                        | cs ->
+                          List.iter (fun (terms, rel, rhs) -> add_row t terms rel rhs) cs;
+                          (* re-explore this subproblem under the new
+                             cuts, seeded by the basis just proved optimal
+                             for it (the cut rows only extend it); the
+                             rest of the batch re-queues unchanged *)
+                          cuts_installed := true;
+                          push_node
                             {
-                              fixings = (branch_var, x) :: node.fixings;
+                              node with
                               bound = objective;
-                              parent = basis;
+                              parent =
+                                (match basis with Some _ -> basis | None -> node.parent);
                             }
-                          in
-                          (* explore the branch matching the fractional
-                             value first: pushed first, so the stable
-                             sequence key pops it first among equal bounds *)
-                          let first, second =
-                            if values.(branch_var) >= 0.5 then (child 1., child 0.)
-                            else (child 0., child 1.)
-                          in
-                          push_node first;
-                          push_node second
-                        end
-                      end)
+                      end
+                      else begin
+                        let child x =
+                          {
+                            fixings = (branch_var, x) :: node.fixings;
+                            bound = objective;
+                            parent = basis;
+                          }
+                        in
+                        (* explore the branch matching the fractional
+                           value first: pushed first, so the stable
+                           sequence key pops it first among equal bounds *)
+                        let first, second =
+                          if values.(branch_var) >= 0.5 then (child 1., child 0.)
+                          else (child 0., child 1.)
+                        in
+                        push_node first;
+                        push_node second
+                      end
+                    end
                 end)
             batch;
           loop ()

@@ -14,16 +14,13 @@
     result — only the work done — and both can be disabled with
     [~warm:false] for differential testing.
 
-    {b Parallelism.}  The search is batch-synchronous: each round pops up
-    to a fixed number of open nodes (a function of the heap state only,
-    never of the job count), solves their LP relaxations concurrently on a
-    {!Mf_util.Domain_pool}, then reduces the results sequentially in batch
-    order on the coordinating domain — incumbent updates, branching, cache
-    and statistics, lazy-cut installation all happen there.  The open-node
-    heap orders ties by a stable insertion sequence, so the pop order is a
-    pure function of the search trajectory.  Consequence: for a given
-    model, [solve] returns bit-identical [outcome]/[solution]/{!run_stats}
-    for any job count, including [?pool = None]. *)
+    The search is batch-synchronous: each round pops up to 16 open nodes
+    (a function of the heap state only), solves all their uncached LP
+    relaxations against the model as it stands, then reduces the results
+    in batch order — incumbent updates, branching, cache and statistics,
+    lazy-cut installation.  The open-node heap orders ties by a stable
+    insertion sequence, so the pop order is a pure function of the search
+    trajectory. *)
 
 type t
 type var = Mf_lp.Lp.var
@@ -43,11 +40,9 @@ type outcome =
   | Node_limit  (** budget exhausted with no incumbent *)
   | Failed of Mf_util.Fail.t
       (** the search cannot continue and the result is not a resource
-          outcome — an unbounded LP relaxation (defective model), or a
-          relaxation worker that died (e.g. under [MFDFT_CHAOS=ilp-worker]).
-          The batch in flight is always drained before this is reported, so
-          the pool stays reusable.  Typed so callers degrade per the
-          resilience ladder instead of crashing. *)
+          outcome: an LP relaxation came back unbounded (a defective
+          model).  Typed so callers degrade per the resilience ladder
+          instead of crashing. *)
 
 val create : unit -> t
 
@@ -63,9 +58,7 @@ val add_row : t -> (float * var) list -> relation -> float -> unit
 type lazy_cut = (float * var) list * relation * float
 
 (** Process-wide branch-and-bound telemetry (see {!Mf_lp.Simplex.Stats}):
-    cumulative atomic counters.  Every counter is bumped from the
-    coordinating domain only, so totals are deterministic for any job
-    count. *)
+    cumulative atomic counters. *)
 module Stats : sig
   val nodes : int Atomic.t
 
@@ -90,7 +83,7 @@ end
 
 type run_stats = {
   rs_nodes : int;  (** nodes expanded (cache-served nodes included) *)
-  rs_batches : int;  (** parallel rounds executed (1..16 nodes each) *)
+  rs_batches : int;  (** search rounds executed (1..16 nodes each) *)
   rs_warm_eligible : int;
   rs_warm_taken : int;
   rs_fallbacks : int;  (** warm attempts that fell back to a cold solve *)
@@ -109,17 +102,13 @@ type run_stats = {
           stopped; [infinity] once no open node remains *)
 }
 (** Effort accounting for a single {!solve} call — what {!Stats} counts
-    process-wide.  Identical for any job count. *)
+    process-wide. *)
 
 val zero_stats : run_stats
 
 val add_stats : run_stats -> run_stats -> run_stats
 (** Field-wise sum of the counters, for aggregating across solves; the two
     bounds are those of the second argument, the later solve. *)
-
-val nodes_explored : t -> int
-(** Nodes expanded during the most recent {!solve} call (each is one LP
-    relaxation solve or one fixing-set cache hit). *)
 
 val last_stats : t -> run_stats
 (** Full effort breakdown of the most recent {!solve} call. *)
@@ -133,15 +122,14 @@ val solve :
   ?warm:bool ->
   ?presolve:bool ->
   ?cuts:bool ->
-  ?pool:Mf_util.Domain_pool.t ->
   t ->
   outcome
 (** Batched best-first branch-and-bound.  Whenever an integral candidate is
     found, [lazy_cuts] may return violated constraints; a non-empty return
     rejects the candidate, installs the cuts globally, and continues the
     search (the candidate's subtree is re-explored under the new cuts; the
-    rest of the batch in flight is re-queued under the unchanged priority
-    law, which keeps the trajectory jobs-invariant).
+    rest of the round is re-queued under the unchanged priority law, and
+    the effort already spent on its relaxations stays counted).
     [node_limit] defaults to 100_000 LP relaxation solves; [budget] adds a
     wall-clock deadline polled once per batch and threaded into each
     relaxation solve — on exhaustion the best incumbent so far is returned
@@ -164,7 +152,4 @@ val solve :
     [cuts] (default true) separates 0-1 knapsack cover cuts at the root
     over a few rounds.  Cover cuts are derived only from rows present at
     entry, hence globally valid under any branching: they change effort,
-    never results.
-    [pool] shares its domains across the batch relaxation solves; omitted
-    (or with 1 job) everything runs inline on the caller.  Results,
-    including {!run_stats}, are bit-identical for any pool size. *)
+    never results. *)

@@ -273,8 +273,6 @@ let solve ?max_iters ?budget ?fix t =
   let result, _, _ = solve_b ?max_iters ?budget ?fix t in
   result
 
-let prepare t = ignore (compile t)
-
 (* ------------------------------------------------------------------ *)
 (* Presolve: bound tightening and coefficient reduction on the builder.
 

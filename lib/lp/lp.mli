@@ -63,12 +63,6 @@ val row : t -> int -> (float * var) list * relation * float
     normal form the compiled model uses.  Read-only access for cut
     separation. *)
 
-val prepare : t -> unit
-(** Compile and cache the sparse model now.  {!solve_b} compiles lazily
-    and caches on the builder; calling [prepare] before fanning solves out
-    across domains keeps that one mutation on the coordinator, after which
-    concurrent [solve_b] calls only read the compiled form. *)
-
 type presolve_stats = {
   ps_rounds : int;  (** fixpoint passes executed (capped) *)
   ps_fixed : int;  (** variables whose bounds collapsed to a point *)

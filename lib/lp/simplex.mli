@@ -42,7 +42,7 @@ module Stats : sig
   val refactors : int Atomic.t
   (** Basis refactorisations (initial factorisations included).  A warm
       start that reuses the factorisation its sibling node computed for the
-      same parent basis on the same domain adds none. *)
+      same parent basis adds none. *)
 
   val reset : unit -> unit
 

@@ -17,12 +17,12 @@ type options = {
   full : bool;  (** paper-scale PSO budgets instead of quick *)
   seed : int;  (** PSO random seed *)
 }
-(** The submission options that determine the codesign result.  Execution
-    knobs that provably do not affect results ([jobs], [ilp_jobs] — both
-    bit-identical by construction) are deliberately
-    excluded, so a parallel solve serves later serial submissions and vice
-    versa.  Wall-clock deadlines are excluded too: budgeted runs trade
-    determinism for latency, so the serve layer never caches them. *)
+(** The submission options that determine the codesign result.  The job
+    count, which provably does not affect results (bit-identical by
+    construction), is deliberately excluded, so a parallel solve serves
+    later serial submissions and vice versa.  Wall-clock deadlines are
+    excluded too: budgeted runs trade determinism for latency, so the
+    serve layer never caches them. *)
 
 val default_options : options
 (** [{ full = false; seed = 42 }] — the CLI defaults. *)

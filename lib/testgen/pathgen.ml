@@ -340,7 +340,7 @@ let heuristic_cover chip ~weights ~s_node ~t_node =
   List.fold_left better None candidates
 
 let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(node_limit = 1_200)
-    ?budget ?(warm = true) ?presolve ?cuts ?pool chip =
+    ?budget ?(warm = true) ?presolve ?cuts chip =
   let auto_src, auto_dst = farthest_ports chip in
   let src_port = Option.value ~default:auto_src src_port in
   let dst_port = Option.value ~default:auto_dst dst_port in
@@ -414,11 +414,11 @@ let generate ?(weights = fun _ -> 1.) ?src_port ?dst_port ?(max_paths = 8) ?(nod
       let outcome =
         Mf_util.Prof.time "pathgen.ilp_solve" (fun () ->
             Ilp.solve ~node_limit:(max 100 attempt_budget) ?budget ~lazy_cuts ~branch_priority
-              ~upper_bound:primed_bound ~warm ?presolve ?cuts ?pool model.ilp)
+              ~upper_bound:primed_bound ~warm ?presolve ?cuts model.ilp)
       in
       total_cuts := !total_cuts + !n_cuts;
-      total_nodes := !total_nodes + Ilp.nodes_explored model.ilp;
       let st = Ilp.last_stats model.ilp in
+      total_nodes := !total_nodes + st.Ilp.rs_nodes;
       total_stats := Ilp.add_stats !total_stats st;
       Mf_util.Prof.add_count "pathgen.ilp_solve" st.Ilp.rs_nodes;
       Mf_util.Prof.add_count "lp.pivots" (st.Ilp.rs_primal_pivots + st.Ilp.rs_dual_pivots);

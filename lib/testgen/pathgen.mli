@@ -55,7 +55,6 @@ val generate :
   ?warm:bool ->
   ?presolve:bool ->
   ?cuts:bool ->
-  ?pool:Mf_util.Domain_pool.t ->
   Mf_arch.Chip.t ->
   (config, Mf_util.Fail.t) result
 (** Solve the DFT path formulation, growing the path count from 2 until
@@ -73,9 +72,7 @@ val generate :
 
     [warm] (default true), [presolve] and [cuts] (both default true in the
     solver) are passed through to {!Mf_ilp.Ilp.solve} — each changes effort,
-    not results.  [pool] parallelises each branch-and-bound's relaxation
-    batches across its domains; results, including the [solver] stats in
-    the returned configuration, are bit-identical for any pool size. *)
+    not results. *)
 
 val apply : Mf_arch.Chip.t -> config -> Mf_arch.Chip.t
 (** Augment the chip with the configuration's added edges. *)

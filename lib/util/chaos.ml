@@ -1,20 +1,18 @@
-type site = Simplex_iters | Ilp_nodes | Worker_delay | Ilp_worker
+type site = Simplex_iters | Ilp_nodes | Worker_delay
 
-let n_sites = 4
+let n_sites = 3
 
 let site_index = function
   | Simplex_iters -> 0
   | Ilp_nodes -> 1
   | Worker_delay -> 2
-  | Ilp_worker -> 3
 
 let site_name = function
   | Simplex_iters -> "simplex-iters"
   | Ilp_nodes -> "ilp-nodes"
   | Worker_delay -> "worker-delay"
-  | Ilp_worker -> "ilp-worker"
 
-let all_sites = [ Simplex_iters; Ilp_nodes; Worker_delay; Ilp_worker ]
+let all_sites = [ Simplex_iters; Ilp_nodes; Worker_delay ]
 
 type config = { rate : float; seed : int }
 
@@ -42,53 +40,73 @@ let env_seed () =
   | Some seed -> seed
   | None -> default_seed
 
+type spec = Strikes of { only : site option; rate : float } | Valve_faults of int
+
 let vf_prefix = "valve-faults:"
 
-(* [MFDFT_CHAOS=<rate>] strikes at every site; [MFDFT_CHAOS=<site>:<rate>]
-   (e.g. [ilp-worker:0.3]) restricts strikes to that one site so a single
-   degradation path can be exercised in isolation. *)
-let from_env () =
-  match Sys.getenv_opt "MFDFT_CHAOS" with
-  | None -> None
-  | Some s -> (
-      let s = String.trim s in
-      match float_of_string_opt s with
-      | Some rate when rate > 0. -> Some (None, { rate; seed = env_seed () })
-      | Some _ -> None
-      | None -> (
-          match String.index_opt s ':' with
-          | None -> None
-          | Some i -> (
-              let name = String.sub s 0 i in
-              let rest = String.sub s (i + 1) (String.length s - i - 1) in
-              match
-                ( List.find_opt (fun site -> site_name site = name) all_sites,
-                  float_of_string_opt rest )
-              with
-              | Some site, Some rate when rate > 0. ->
-                  Some (Some site, { rate; seed = env_seed () })
-              | _ -> None)))
+let parse s =
+  let s = String.trim s in
+  let rate_of r =
+    match float_of_string_opt r with
+    | Some rate when Float.is_finite rate && rate >= 0. -> Some rate
+    | Some _ | None -> None
+  in
+  let bad what =
+    Error
+      (Printf.sprintf
+         "MFDFT_CHAOS=%s: %s (expected <rate>, <site>:<rate> with site one of %s, or %sN)" s
+         what
+         (String.concat ", " (List.map site_name all_sites))
+         vf_prefix)
+  in
+  match rate_of s with
+  | Some rate -> Ok (Strikes { only = None; rate })
+  | None -> (
+      match String.index_opt s ':' with
+      | None -> bad "not a rate"
+      | Some i -> (
+          let name = String.sub s 0 i in
+          let rest = String.sub s (i + 1) (String.length s - i - 1) in
+          if name ^ ":" = vf_prefix then
+            match int_of_string_opt rest with
+            | Some count when count >= 0 -> Ok (Valve_faults count)
+            | Some _ | None -> bad (Printf.sprintf "bad valve-fault count %S" rest)
+          else
+            match List.find_opt (fun site -> site_name site = name) all_sites with
+            | None -> bad (Printf.sprintf "unknown site %S" name)
+            | Some site -> (
+                match rate_of rest with
+                | Some rate -> Ok (Strikes { only = Some site; rate })
+                | None -> bad (Printf.sprintf "bad rate %S" rest))))
 
-(* [MFDFT_CHAOS=valve-faults:N] selects the physical-fault mode instead of
-   a solver strike rate: N stuck-open valve sites, sampled seed-stably by
-   [valve_fault_sites]. *)
-let vf_from_env () =
+(* Read once at program start; a value that does not parse is reported on
+   stderr instead of silently leaving injection off. *)
+let env_spec =
   match Sys.getenv_opt "MFDFT_CHAOS" with
   | None -> None
-  | Some s ->
-      let s = String.trim s in
-      let n = String.length vf_prefix in
-      if String.length s > n && String.sub s 0 n = vf_prefix then
-        match int_of_string_opt (String.sub s n (String.length s - n)) with
-        | Some count when count > 0 -> Some (count, env_seed ())
-        | _ -> None
-      else None
+  | Some s when String.trim s = "" -> None
+  | Some s -> (
+      match parse s with
+      | Ok spec -> Some spec
+      | Error msg ->
+          Printf.eprintf "warning: chaos injection off: %s\n%!" msg;
+          None)
 
 (* Initialised eagerly at program start so worker domains never race an
    env lookup.  [set] is only meant to be called while no worker domain is
    running (test setup, CLI argument handling). *)
-let state = ref (Option.map (fun (only, cfg) -> of_config ?only cfg) (from_env ()))
-let vf_state = ref (vf_from_env ())
+let state =
+  ref
+    (match env_spec with
+     | Some (Strikes { only; rate }) when rate > 0. ->
+         Some (of_config ?only { rate; seed = env_seed () })
+     | Some (Strikes _ | Valve_faults _) | None -> None)
+
+let vf_state =
+  ref
+    (match env_spec with
+     | Some (Valve_faults count) when count > 0 -> Some (count, env_seed ())
+     | Some (Strikes _ | Valve_faults _) | None -> None)
 
 let set ?only cfg = state := Option.map (of_config ?only) cfg
 let set_valve_faults vf = vf_state := vf

@@ -8,10 +8,11 @@
 
     Enable by exporting [MFDFT_CHAOS=<rate>] (a fault probability in
     [(0, 1]]; the state is read once at program start) or programmatically
-    with {!set}.  [MFDFT_CHAOS=<site>:<rate>] (e.g. [ilp-worker:0.3])
+    with {!set}.  [MFDFT_CHAOS=<site>:<rate>] (e.g. [ilp-nodes:0.3])
     restricts strikes to one named site, so a single degradation path can
     be driven in isolation.  [MFDFT_CHAOS_SEED] fixes the injection RNG
-    seed.
+    seed.  A value that does not parse (see {!parse}) leaves injection off
+    and prints one warning on stderr at start-up.
 
     A second, physical injection mode is selected by
     [MFDFT_CHAOS=valve-faults:N]: instead of crippling solver stages, the
@@ -31,10 +32,16 @@ type site =
   | Simplex_iters  (** clamp the simplex pivot budget to force [Iter_limit] *)
   | Ilp_nodes  (** truncate the branch-and-bound node budget *)
   | Worker_delay  (** sleep briefly inside a worker-domain task *)
-  | Ilp_worker
-      (** fail a branch-and-bound relaxation task inside a worker domain,
-          proving the parallel search drains its pool cleanly and surfaces
-          one typed outcome *)
+
+type spec =
+  | Strikes of { only : site option; rate : float }
+      (** [<rate>] or [<site>:<rate>]; a rate of [0.] leaves injection off *)
+  | Valve_faults of int  (** [valve-faults:N] *)
+
+val parse : string -> (spec, string) result
+(** Parse an [MFDFT_CHAOS] value.  A rate is a finite float [>= 0.] (rates
+    above 1 act as 1); a site is named by {!site_name}.  [Error] carries a
+    one-line message naming the bad value and listing the valid sites. *)
 
 type config = { rate : float; seed : int }
 

@@ -5,7 +5,6 @@ type t = {
   queue : task Queue.t;
   mutex : Mutex.t;
   wakeup : Condition.t;  (* signalled when the queue gains work or the pool closes *)
-  fulfilled : Condition.t;  (* signalled when any submitted future completes *)
   mutable workers : unit Domain.t list;
   mutable closed : bool;
 }
@@ -40,7 +39,6 @@ let create ~jobs =
       queue = Queue.create ();
       mutex = Mutex.create ();
       wakeup = Condition.create ();
-      fulfilled = Condition.create ();
       workers = [];
       closed = false;
     }
@@ -112,65 +110,6 @@ let map pool f xs =
         | None -> assert false (* every slot filled: remaining reached 0 with no error *))
       results
   end
-
-let map_reduce pool ~map:f ~fold ~init xs = Array.fold_left fold init (map pool f xs)
-
-(* Work-queue mode: individually submitted tasks whose results are claimed
-   in whatever order the coordinator chooses.  The batched branch-and-bound
-   uses this instead of [map] so a round's relaxations can be enqueued as
-   they are assembled and harvested strictly in batch order. *)
-
-type 'a fstate = Fpending | Fdone of 'a | Fraised of exn
-
-type 'a future = { mutable fst : 'a fstate }
-
-let submit pool f =
-  let fut = { fst = Fpending } in
-  if pool.jobs = 1 then begin
-    (* no workers: run inline so [await] never blocks *)
-    (fut.fst <- (match f () with r -> Fdone r | exception e -> Fraised e));
-    fut
-  end
-  else begin
-    let task =
-      Task
-        (fun () ->
-          Chaos.delay ();
-          let r = match f () with r -> Fdone r | exception e -> Fraised e in
-          Mutex.lock pool.mutex;
-          fut.fst <- r;
-          Condition.broadcast pool.fulfilled;
-          Mutex.unlock pool.mutex)
-    in
-    Mutex.lock pool.mutex;
-    Queue.push task pool.queue;
-    Condition.signal pool.wakeup;
-    Mutex.unlock pool.mutex;
-    fut
-  end
-
-let await pool fut =
-  let rec claim () =
-    match fut.fst with
-    | Fdone r -> r
-    | Fraised e -> raise e
-    | Fpending ->
-      Mutex.lock pool.mutex;
-      (* help drain the queue while the wanted future is still pending; if
-         the queue is empty a worker has it in flight, so sleep until the
-         next completion broadcast *)
-      (match Queue.pop pool.queue with
-       | Task run ->
-         Mutex.unlock pool.mutex;
-         run ()
-       | exception Queue.Empty ->
-         (match fut.fst with
-          | Fpending -> Condition.wait pool.fulfilled pool.mutex
-          | Fdone _ | Fraised _ -> ());
-         Mutex.unlock pool.mutex);
-      claim ()
-  in
-  claim ()
 
 let map_bounded pool ?budget ~fallback f xs =
   match budget with

@@ -10,8 +10,8 @@
     Discipline: tasks must not block, must not call back into the pool, and
     must not mutate shared state except through their own result slot (or
     through synchronisation they provide themselves, e.g. a mutex-guarded
-    memo table).  [map]/[map_reduce] may only be called from the domain that
-    created the pool, one call at a time. *)
+    memo table).  [map] may only be called from the domain that created the
+    pool, one call at a time. *)
 
 type t
 
@@ -30,37 +30,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     applications raise, the exception of the lowest-index failing element
     is re-raised on the caller after all tasks have finished — so the pool
     stays reusable and the observed exception is deterministic. *)
-
-val map_reduce : t -> map:('a -> 'b) -> fold:('c -> 'b -> 'c) -> init:'c -> 'a array -> 'c
-(** [map_reduce pool ~map ~fold ~init xs] maps in parallel, then folds the
-    results {b sequentially in input order} on the caller — the
-    deterministic-by-construction reduction (no requirements on [fold]'s
-    associativity or commutativity). *)
-
-(** {2 Work-queue mode}
-
-    Individually submitted tasks with explicitly claimed results — the
-    shape the batched parallel branch-and-bound needs: a round's
-    relaxations are enqueued one by one and their results harvested
-    strictly in submission order, whatever order the workers finish in.
-    The same discipline as {!map} applies: submit and await only from the
-    domain that created the pool, tasks must be non-blocking, and the two
-    modes must not be interleaved (await every outstanding future before
-    the next {!map}). *)
-
-type 'a future
-
-val submit : t -> (unit -> 'a) -> 'a future
-(** [submit pool f] enqueues [f] for any worker (with [jobs = 1] it runs
-    inline immediately).  An exception raised by [f] is captured and
-    re-raised by {!await}. *)
-
-val await : t -> 'a future -> 'a
-(** [await pool fut] returns [fut]'s result, helping drain the pool's
-    queue while it is pending (so the coordinator contributes a worker's
-    worth of parallelism and a 1-job pool never deadlocks).  Re-raises
-    [f]'s exception, if any — awaiting every submitted future keeps the
-    observed exception deterministic and leaves the pool reusable. *)
 
 val map_bounded :
   t -> ?budget:Budget.t -> fallback:('a -> 'b) -> ('a -> 'b) -> 'a array -> 'b array

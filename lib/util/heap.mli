@@ -19,7 +19,7 @@ val push_seq : 'a t -> float -> int -> 'a -> unit
     [(priority, seq)]: among equal float priorities the smallest [seq]
     pops first.  Pushing with a monotone insertion counter makes pop
     order a total, reproducible function of the push sequence — the
-    deterministic tie-break law the parallel branch-and-bound relies on. *)
+    deterministic tie-break law the branch-and-bound search relies on. *)
 
 val pop : 'a t -> (float * 'a) option
 (** [pop h] removes and returns the minimum-priority element. *)

@@ -232,32 +232,7 @@ let repair_recertifies f index =
         else true)
 
 (* ------------------------------------------------------------------ *)
-(* P8: the batched parallel branch-and-bound is parallelism-invariant on
-   real chip models — the full Pathgen configuration, including the solver
-   effort stats, is bit-identical with relaxations solved inline vs fanned
-   out over 4 domains *)
-
-let ilp_fingerprint f index jobs =
-  let chip, _ = case f index in
-  let run pool =
-    match Pathgen.generate ~node_limit:400 ?pool chip with
-    | Error fl -> Error (Mf_util.Fail.stage_name fl.Mf_util.Fail.stage)
-    | Ok c ->
-      Ok
-        ( c.Pathgen.added_edges,
-          c.Pathgen.paths,
-          c.Pathgen.n_paths,
-          c.Pathgen.ilp_nodes,
-          c.Pathgen.loop_cuts,
-          c.Pathgen.solver,
-          c.Pathgen.degraded )
-  in
-  if jobs = 1 then run None else Domain_pool.with_pool ~jobs (fun p -> run (Some p))
-
-let ilp_parallel_invariant f index = ilp_fingerprint f index 1 = ilp_fingerprint f index 4
-
-(* ------------------------------------------------------------------ *)
-(* P9: prepared fault simulation is exact — on random path, cut,
+(* P8: prepared fault simulation is exact — on random path, cut,
    multi-meter and arbitrary-line vectors, under random fault contexts
    (blocked edges, stuck-open valves, leaks), every prepared decision
    equals the reference [Pressure.detects], and [Coverage.measure] equals
@@ -371,21 +346,8 @@ let family_suite f =
       prop ~name:(n ^ " ilp >= greedy coverage") ~count:greedy_count f ilp_beats_greedy;
       prop ~name:(n ^ " pool jobs=1 = jobs=4") ~count:pool_count f pool_parallel_invariant;
       prop ~name:(n ^ " repair re-certifies") ~count:repair_count f repair_recertifies;
-      prop ~name:(n ^ " parallel ilp jobs=1 = jobs=4") ~count:pool_count f
-        ilp_parallel_invariant;
       prop ~name:(n ^ " prepared faults = detects") ~count:prepared_count f prepared_is_exact;
-    ]
-    @
-    (* pinned regression case: the fpva/6 model historically exercised the
-       lazy-cut re-queue path hardest *)
-    if n = "fpva" then
-      [
-        Alcotest.test_case "fpva/6 parallel ilp invariance" `Slow (fun () ->
-            Alcotest.(check bool)
-              "jobs=1 = jobs=4" true
-              (ilp_parallel_invariant f 6));
-      ]
-    else [] )
+    ] )
 
 let () =
   (* exact-value differentials require the fault-free pipeline *)

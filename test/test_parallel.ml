@@ -25,18 +25,6 @@ let test_jobs_guard () =
   Alcotest.check_raises "jobs 0" (Invalid_argument "Domain_pool.create: jobs must be >= 1")
     (fun () -> ignore (Domain_pool.create ~jobs:0))
 
-let test_map_reduce_order () =
-  (* the fold sees results in input order, so a non-commutative fold is
-     deterministic *)
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let xs = Array.init 57 string_of_int in
-      let concatenated =
-        Domain_pool.map_reduce pool ~map:(fun s -> s ^ ";") ~fold:( ^ ) ~init:"" xs
-      in
-      check Alcotest.string "in order"
-        (String.concat "" (Array.to_list (Array.map (fun s -> s ^ ";") xs)))
-        concatenated)
-
 let test_exception_is_lowest_index () =
   Domain_pool.with_pool ~jobs:4 (fun pool ->
       let f i = if i mod 3 = 2 then failwith (Printf.sprintf "boom %d" i) else i in
@@ -202,7 +190,6 @@ let () =
         [
           Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
           Alcotest.test_case "jobs guard" `Quick test_jobs_guard;
-          Alcotest.test_case "map_reduce order" `Quick test_map_reduce_order;
           Alcotest.test_case "first failure wins" `Quick test_exception_is_lowest_index;
           qt order_preservation_prop;
           qt exception_propagation_prop;

@@ -18,6 +18,11 @@ module Fail = Mf_util.Fail
 
 let check = Alcotest.check
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
 (* A small synthetic chip (one mixer, one heater, one detector, three
    ports on a transport ring) — the second architecture the degradation
    tests must survive, exercising a topology none of the benchmarks has. *)
@@ -124,60 +129,46 @@ let test_chaos_counts () =
       let n site = try List.assoc site (Chaos.strikes ()) with Not_found -> 0 in
       check Alcotest.int "simplex strikes" 2 (n Chaos.Simplex_iters);
       check Alcotest.int "ilp strikes" 1 (n Chaos.Ilp_nodes);
-      check Alcotest.int "no worker strikes" 0 (n Chaos.Worker_delay);
-      check Alcotest.int "no ilp-worker strikes" 0 (n Chaos.Ilp_worker))
+      check Alcotest.int "no worker strikes" 0 (n Chaos.Worker_delay))
 
 let test_chaos_site_filter () =
   (* MFDFT_CHAOS=<site>:<rate> arms a single strike point *)
-  with_chaos_only Chaos.Ilp_worker 1.0 (fun () ->
-      check Alcotest.bool "filtered site strikes" true (Chaos.strike Chaos.Ilp_worker);
+  with_chaos_only Chaos.Worker_delay 1.0 (fun () ->
+      check Alcotest.bool "filtered site strikes" true (Chaos.strike Chaos.Worker_delay);
       check Alcotest.bool "other sites never strike" false (Chaos.strike Chaos.Simplex_iters);
       check Alcotest.bool "other sites never strike (2)" false (Chaos.strike Chaos.Ilp_nodes))
 
-(* ------------------------------------------------------------------ *)
-(* Worker failure under parallelism: a relaxation worker dying mid-batch
-   must drain the batch and surface one typed outcome — and leave the
-   domain pool reusable for the next solve *)
-
-(* vertex cover on an odd cycle: the root LP optimum is all-0.5, and
-   neither presolve nor cover separation can tighten pairwise x_i+x_j >= 1
-   rows — so the search must branch, and worker relaxation tasks (only
-   dispatched for non-root batches) are actually exercised.  (A single
-   sum >= 6.5 row does not work here: the extended cover cut rounds it to
-   sum >= 7 and the root comes back integral.) *)
-let branching_model () =
-  let module Ilp = Mf_ilp.Ilp in
-  let ilp = Ilp.create () in
-  let vars = Array.init 5 (fun _ -> Ilp.add_binary ~obj:1. ilp) in
-  Array.iteri (fun i v -> Ilp.add_row ilp [ (1., v); (1., vars.((i + 1) mod 5)) ] Ilp.Ge 1.) vars;
-  ilp
-
-let test_ilp_worker_chaos_drains () =
-  let module Ilp = Mf_ilp.Ilp in
-  Mf_util.Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let failed =
-        with_chaos_only Chaos.Ilp_worker 1.0 (fun () ->
-            Ilp.solve ~pool (branching_model ()))
-      in
-      (match failed with
-       | Ilp.Failed f ->
-         check Alcotest.string "typed ilp-stage failure" "ilp" (Fail.stage_name f.Fail.stage)
-       | Ilp.Optimal _ | Ilp.Feasible _ | Ilp.Infeasible | Ilp.Node_limit ->
-         Alcotest.fail "expected a typed Failed outcome under ilp-worker chaos");
-      (* chaos off, same pool: the batch drained cleanly and the pool works *)
-      match Ilp.solve ~pool (branching_model ()) with
-      | Ilp.Optimal _ -> ()
-      | _ -> Alcotest.fail "pool unusable after a drained worker failure")
-
-let test_ilp_worker_chaos_serial () =
-  (* the same strike point fires on the inline (no-pool) path too, with the
-     same typed outcome — so jobs=1 and jobs=N degrade identically *)
-  let module Ilp = Mf_ilp.Ilp in
-  with_chaos_only Chaos.Ilp_worker 1.0 (fun () ->
-      match Ilp.solve (branching_model ()) with
-      | Ilp.Failed f ->
-        check Alcotest.string "typed ilp-stage failure" "ilp" (Fail.stage_name f.Fail.stage)
-      | _ -> Alcotest.fail "expected a typed Failed outcome under ilp-worker chaos")
+let test_chaos_parse () =
+  (* every MFDFT_CHAOS form either parses to its mode or is rejected with a
+     message that names the bad value and lists the sites *)
+  let pp ppf = function
+    | Ok (Chaos.Strikes { only; rate }) ->
+      Format.fprintf ppf "strikes %s at %g"
+        (match only with None -> "everywhere" | Some site -> Chaos.site_name site)
+        rate
+    | Ok (Chaos.Valve_faults n) -> Format.fprintf ppf "valve-faults %d" n
+    | Error msg -> Format.fprintf ppf "error %s" msg
+  in
+  let parsed = Alcotest.testable pp ( = ) in
+  check parsed "bare rate" (Ok (Chaos.Strikes { only = None; rate = 0.3 })) (Chaos.parse "0.3");
+  check parsed "one site"
+    (Ok (Chaos.Strikes { only = Some Chaos.Simplex_iters; rate = 0.5 }))
+    (Chaos.parse "simplex-iters:0.5");
+  check parsed "valve faults" (Ok (Chaos.Valve_faults 2)) (Chaos.parse "valve-faults:2");
+  let rejected value bad =
+    match Chaos.parse value with
+    | Ok _ -> Alcotest.failf "%s must be rejected" value
+    | Error msg ->
+      List.iter
+        (fun needle ->
+          check Alcotest.bool (Printf.sprintf "%s: message names %S" value needle) true
+            (contains msg needle))
+        (bad
+        :: List.map Chaos.site_name [ Chaos.Simplex_iters; Chaos.Ilp_nodes; Chaos.Worker_delay ])
+  in
+  rejected "ilp-worker:0.3" "ilp-worker";
+  rejected "bogus:0.3" "bogus";
+  rejected "simplex-iters:x" "\"x\""
 
 (* ------------------------------------------------------------------ *)
 (* Typed failures *)
@@ -185,11 +176,7 @@ let test_ilp_worker_chaos_serial () =
 let test_fail_rendering () =
   let f = Fail.v ~elapsed:1.5 ~nodes:42 ~incumbent:"3 paths" Fail.Ilp "node budget exhausted" in
   let s = Fail.to_string f in
-  let contains needle =
-    let nl = String.length needle and hl = String.length s in
-    let rec go i = i + nl <= hl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = contains s in
   check Alcotest.bool "names the stage" true (contains "ilp");
   check Alcotest.bool "carries the reason" true (contains "node budget exhausted");
   check Alcotest.bool "carries the node count" true (contains "42");
@@ -390,8 +377,7 @@ let () =
           Alcotest.test_case "strike rates" `Quick test_chaos_rates;
           Alcotest.test_case "strike counters" `Quick test_chaos_counts;
           Alcotest.test_case "site filter" `Quick test_chaos_site_filter;
-          Alcotest.test_case "ilp-worker drains the batch" `Quick test_ilp_worker_chaos_drains;
-          Alcotest.test_case "ilp-worker inline path" `Quick test_ilp_worker_chaos_serial;
+          Alcotest.test_case "env parser" `Quick test_chaos_parse;
         ] );
       ( "typed failures",
         [ Alcotest.test_case "rendering" `Quick test_fail_rendering ] );

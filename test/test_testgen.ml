@@ -134,6 +134,90 @@ let test_pathgen_attempts () =
     check Alcotest.int "no ILP at node_limit 0" 0 (List.length greedy.Pathgen.attempts)
   | (Error f, _ | _, Error f) -> Alcotest.fail (Mf_util.Fail.to_string f)
 
+(* The whole configuration behind [generate ~node_limit:400] on two
+   benchmark chips, recorded before the in-search parallel axis was
+   deleted: the serial branch-and-bound must keep the same node order,
+   effort and bounds (floats in hex, so the pin is bit-exact). *)
+let render_config (c : Pathgen.config) =
+  let ints l = String.concat " " (List.map string_of_int l) in
+  let s = c.Pathgen.solver in
+  let outcome = function
+    | `Optimal -> "optimal"
+    | `Feasible -> "feasible"
+    | `Infeasible -> "infeasible"
+    | `Node_limit -> "node_limit"
+    | `Failed -> "failed"
+  in
+  [
+    Printf.sprintf "ports %d -> %d" c.Pathgen.src_port c.Pathgen.dst_port;
+    "added " ^ ints c.Pathgen.added_edges;
+  ]
+  @ List.map (fun p -> "path " ^ ints p) c.Pathgen.paths
+  @ [
+      Printf.sprintf "n_paths %d ilp_nodes %d loop_cuts %d degraded %b" c.Pathgen.n_paths
+        c.Pathgen.ilp_nodes c.Pathgen.loop_cuts c.Pathgen.degraded;
+      Printf.sprintf
+        "nodes %d batches %d warm %d/%d fallbacks %d cache_hits %d pivots %d/%d presolve %d/%d \
+         covers %d"
+        s.Mf_ilp.Ilp.rs_nodes s.Mf_ilp.Ilp.rs_batches s.Mf_ilp.Ilp.rs_warm_taken
+        s.Mf_ilp.Ilp.rs_warm_eligible s.Mf_ilp.Ilp.rs_fallbacks s.Mf_ilp.Ilp.rs_cache_hits
+        s.Mf_ilp.Ilp.rs_primal_pivots s.Mf_ilp.Ilp.rs_dual_pivots s.Mf_ilp.Ilp.rs_presolve_fixed
+        s.Mf_ilp.Ilp.rs_presolve_tightened s.Mf_ilp.Ilp.rs_cover_cuts;
+      Printf.sprintf "root_bound %h best_bound %h" s.Mf_ilp.Ilp.rs_root_bound
+        s.Mf_ilp.Ilp.rs_best_bound;
+    ]
+  @ List.map
+      (fun (a : Pathgen.attempt) ->
+        Printf.sprintf "k=%d %s nodes %d root %h best %h primed %h" a.k (outcome a.outcome)
+          a.nodes a.root_bound a.best_bound a.primed_bound)
+      c.Pathgen.attempts
+
+let pinned_configs =
+  [
+    ( "ivd_chip",
+      [
+        "ports 0 -> 1";
+        "added 4 10 17 26 36 37 38";
+        "path 18 12 11 5 4 7 16 24";
+        "path 10 9 11 13 15 17";
+        "path 18 21 29 31 25 24";
+        "path 18 21 27 28 36 37 32 31 33 26";
+        "path 18 21 29 32 38 34 33 26";
+        "n_paths 5 ilp_nodes 400 loop_cuts 0 degraded true";
+        "nodes 400 batches 32 warm 396/396 fallbacks 0 cache_hits 2 pivots 400/1034 presolve 2/2 \
+         covers 0";
+        "root_bound 0x1.8p+2 best_bound 0x1.8p+2";
+        "k=2 node_limit nodes 300 root 0x1.8p+2 best 0x1.8p+2 primed 0x1.c0000431bde83p+2";
+        "k=3 node_limit nodes 100 root 0x1.8p+2 best 0x1.8p+2 primed 0x1.c0000431bde83p+2";
+      ] );
+    ( "ra30_chip",
+      [
+        "ports 0 -> 1";
+        "added 2 6 10 11 25 28 54 55";
+        "path 26 16 3 2 5 17 19 21 24 36";
+        "path 26 16 15 17 7 6 9 21 24 36";
+        "path 26 29 41 43 45 47 37 24 11 10 12 25";
+        "path 26 28 30 20 19 21 23 25";
+        "path 26 29 41 44 54 46 45 47 37 36";
+        "path 26 29 41 43 46 55 48 47 37 36";
+        "n_paths 6 ilp_nodes 400 loop_cuts 0 degraded true";
+        "nodes 400 batches 32 warm 396/396 fallbacks 0 cache_hits 2 pivots 557/1307 presolve 2/2 \
+         covers 0";
+        "root_bound 0x1.8p+2 best_bound 0x1.8p+2";
+        "k=2 node_limit nodes 300 root 0x1.8p+2 best 0x1.8p+2 primed 0x1.00000218def41p+3";
+        "k=3 node_limit nodes 100 root 0x1.8p+2 best 0x1.8p+2 primed 0x1.00000218def41p+3";
+      ] );
+  ]
+
+let test_pathgen_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      let chip = Option.get (Mf_chips.Benchmarks.by_name name) in
+      match Pathgen.generate ~node_limit:400 chip with
+      | Error f -> Alcotest.fail (Mf_util.Fail.to_string f)
+      | Ok c -> check Alcotest.(list string) name expected (render_config c))
+    pinned_configs
+
 let test_cutgen_fig4 () =
   let chip = fig4_chip () in
   match Pathgen.generate chip with
@@ -279,6 +363,7 @@ let () =
           Alcotest.test_case "warm vs cold LP core" `Slow test_pathgen_warm_vs_cold;
           Alcotest.test_case "same port rejected" `Quick test_generate_rejects_same_port;
           Alcotest.test_case "per-k attempts" `Quick test_pathgen_attempts;
+          Alcotest.test_case "node_limit 400 pinned" `Quick test_pathgen_pinned;
         ] );
       ( "cutgen",
         [
