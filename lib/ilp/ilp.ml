@@ -379,17 +379,14 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
     let cache_store key rows_at_solve rel basis =
       match rel with
       | Lp.Optimal { objective; values } when warm && Hashtbl.length cache < cache_cap ->
+        (* the values are shared, never written: an integral candidate
+           copies them before snapping *)
         Hashtbl.replace cache key
-          {
-            ce_rows = rows_at_solve;
-            ce_obj = objective;
-            ce_values = Array.copy values;
-            ce_basis = basis;
-          }
+          { ce_rows = rows_at_solve; ce_obj = objective; ce_values = values; ce_basis = basis }
       | _ -> ()
     in
     let debug = Sys.getenv_opt "MFDFT_ILP_DEBUG" <> None in
-    let t_start = Sys.time () in
+    let t_start = Unix.gettimeofday () in
     (* ---- root: cover-cut rounds ---- *)
     let root = ref { fixings = []; bound = neg_infinity; parent = None } in
     let root_pushable = ref true in
@@ -485,7 +482,7 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
             Printf.eprintf
               "[ilp] batch=%d size=%d nodes=%d rows=%d incumbent=%g elapsed=%.1fs\n%!"
               !batch_no (Array.length batch) !nodes (Lp.n_rows t.lp) !incumbent_obj
-              (Sys.time () -. t_start);
+              (Unix.gettimeofday () -. t_start);
           let rows_at_dispatch = Lp.n_rows t.lp in
           (* cache consultation, warm-seed selection and every uncached
              relaxation, in batch order and against the model as it stands
@@ -501,9 +498,7 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
                   Atomic.incr Stats.cache_hits;
                   stats := { !stats with rs_cache_hits = !stats.rs_cache_hits + 1 };
                   `Cached
-                    ( Lp.Optimal
-                        { objective = ce.ce_obj; values = Array.copy ce.ce_values },
-                      ce.ce_basis )
+                    (Lp.Optimal { objective = ce.ce_obj; values = ce.ce_values }, ce.ce_basis)
                 | cached ->
                   let seed =
                     if not warm then None
@@ -577,7 +572,9 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
                            solution rather than of the LP's float path to it
                            — exact when the objective lives entirely on the
                            binaries (integral data sums exactly), a delta
-                           correction otherwise *)
+                           correction otherwise.  The candidate owns its
+                           values: the relaxation's may be cached. *)
+                        let values = Array.copy values in
                         let delta = ref 0. in
                         Array.iteri
                           (fun i v ->

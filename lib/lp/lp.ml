@@ -14,7 +14,9 @@ type compiled = {
   k_m : int; (* rows *)
   k_n : int; (* columns: nv + logicals *)
   k_rels : relation array; (* per row, for basis extension *)
-  k_problem : Simplex.problem;
+  k_terms : (float * var) list array; (* per row, merged: what [row] serves *)
+  k_rhs : float array;
+  k_model : Simplex.model; (* reports the [k_nv] structural values *)
   k_lower : float array; (* base bounds; copied before per-solve fixing *)
   k_upper : float array;
   k_c : float array;
@@ -76,9 +78,8 @@ let add_row t terms rel rhs =
 
 let n_rows t = t.nr
 
-(* Merge duplicate variables of a term list, sorted by variable — the same
-   normalisation [compile] applies, shared by the presolve pass and the
-   row accessor below. *)
+(* Merge duplicate variables of a term list, sorted by variable — the
+   normalisation [compile] applies, shared by the presolve pass. *)
 let merge_terms terms =
   let sorted = List.stable_sort (fun (_, a) (_, b) -> compare (a : int) b) terms in
   let out = ref [] in
@@ -89,11 +90,6 @@ let merge_terms terms =
       | _ -> out := (coef, v) :: !out)
     sorted;
   List.rev !out
-
-let row t i =
-  if i < 0 || i >= t.nr then invalid_arg "Lp.row: bad index";
-  let r = List.nth t.rows (t.nr - 1 - i) in
-  (merge_terms r.terms, r.rel, r.rhs)
 
 let compile t =
   match t.compiled with
@@ -112,10 +108,10 @@ let compile t =
     List.iteri (fun i v -> c.(nv - 1 - i) <- v) t.obj;
     (* per-row term lists with duplicate variables merged, sorted by
        variable — the stable sort keeps the summation order deterministic *)
-    let merged = Array.map (fun r -> Array.of_list (merge_terms r.terms)) rows in
+    let merged = Array.map (fun r -> merge_terms r.terms) rows in
     (* gather structural columns row-major so indices come out ascending *)
     let counts = Array.make nv 0 in
-    Array.iter (Array.iter (fun (_, v) -> counts.(v) <- counts.(v) + 1)) merged;
+    Array.iter (List.iter (fun (_, v) -> counts.(v) <- counts.(v) + 1)) merged;
     let cols = Array.make n { Simplex.idx = [||]; v = [||] } in
     for j = 0 to nv - 1 do
       cols.(j) <- { Simplex.idx = Array.make counts.(j) 0; v = Array.make counts.(j) 0. }
@@ -123,7 +119,7 @@ let compile t =
     let fill = Array.make nv 0 in
     Array.iteri
       (fun i terms ->
-        Array.iter
+        List.iter
           (fun (coef, v) ->
             let p = fill.(v) in
             cols.(v).Simplex.idx.(p) <- i;
@@ -153,7 +149,9 @@ let compile t =
         k_m = m;
         k_n = n;
         k_rels = rels;
-        k_problem = { Simplex.m; n; cols; b };
+        k_terms = merged;
+        k_rhs = b;
+        k_model = Simplex.model ~n_values:nv { Simplex.m; n; cols; b };
         k_lower = lower;
         k_upper = upper;
         k_c = c;
@@ -161,6 +159,13 @@ let compile t =
     in
     t.compiled <- Some k;
     k
+
+(* Served from the compiled model, so a pass over every row costs one
+   compilation, not a list walk and a merge per row. *)
+let row t i =
+  if i < 0 || i >= t.nr then invalid_arg "Lp.row: bad index";
+  let k = compile t in
+  (k.k_terms.(i), k.k_rels.(i), k.k_rhs.(i))
 
 (* Lift a basis captured on an earlier compilation of this builder onto the
    current one.  Rows are append-only and logicals follow row order, so the
@@ -241,7 +246,7 @@ let solve_b ?max_iters ?budget ?(fix = []) ?warm t =
   apply fix;
   let sx_warm = Option.bind warm (fun wb -> extend_basis wb k) in
   let solved =
-    match Simplex.solve ?max_iters ?budget ?warm:sx_warm k.k_problem ~lower ~upper ~c:k.k_c with
+    match Simplex.solve ?max_iters ?budget ?warm:sx_warm k.k_model ~lower ~upper ~c:k.k_c with
     | r -> Ok r
     | exception e -> Error e
   in
@@ -255,10 +260,8 @@ let solve_b ?max_iters ?budget ?(fix = []) ?warm t =
       | Simplex.Infeasible -> Infeasible
       | Simplex.Unbounded -> Unbounded
       | Simplex.Iter_limit -> Iter_limit
-      | Simplex.Optimal { objective; values } ->
-        Optimal { objective; values = Array.sub values 0 k.k_nv }
-      | Simplex.Feasible { objective; values } ->
-        Feasible { objective; values = Array.sub values 0 k.k_nv }
+      | Simplex.Optimal { objective; values } -> Optimal { objective; values }
+      | Simplex.Feasible { objective; values } -> Feasible { objective; values }
     in
     let basis = Option.map (fun sb -> { b_nv = k.k_nv; b_sx = sb }) sx_basis in
     (* a warm basis refused at the extension stage never reached the

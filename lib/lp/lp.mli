@@ -60,7 +60,8 @@ val n_rows : t -> int
 val row : t -> int -> (float * var) list * relation * float
 (** [row t i] is the [i]-th constraint (0-based, insertion order) with
     duplicate variables merged and terms sorted by variable — the
-    normal form the compiled model uses.  Read-only access for cut
+    normal form the compiled model uses, served from it (the first call
+    after a mutation compiles the model).  Read-only access for cut
     separation. *)
 
 type presolve_stats = {

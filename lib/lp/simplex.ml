@@ -3,16 +3,18 @@
    the representation.
 
    The basis inverse is held as B^-1 = E_k · … · E_1, each eta the
-   elementary column transform of one pivot (or one factorisation step).
-   FTRAN applies etas in creation order to compute B^-1 v; BTRAN applies
-   them transposed in reverse order to compute v B^-1.  Every
-   [refactor_interval] fresh etas the file is rebuilt from the current
-   basis by deterministic Gaussian elimination, bounding both drift and
-   the O(#etas) cost of each FTRAN/BTRAN.  The refactorisation is
-   hypersparse (it touches only each column's nonzeros), its scratch and
-   every row-length array of a solve come from a per-domain workspace, and
-   a warm start reuses the factorisation its sibling node computed for the
-   same parent basis.
+   elementary column transform of one pivot (or one factorisation step),
+   all of them in one flat eta file.  FTRAN applies etas in creation order
+   to compute B^-1 v; BTRAN applies them transposed in reverse order to
+   compute v B^-1.  Every [refactor_interval] fresh etas the file is
+   rebuilt from the current basis by deterministic Gaussian elimination,
+   bounding both drift and the O(#etas) cost of each FTRAN/BTRAN.  The
+   refactorisation is hypersparse (it touches only each column's
+   nonzeros), its scratch and every row- and column-length array of a
+   solve come from a per-domain workspace, and a warm start reuses the
+   factorisation its sibling node computed for the same parent basis.
+   Pricing (v·A_j for a row vector v) runs row-wise over a row-major copy
+   of the matrix, visiting only the nonzero rows of v.
 
    Determinism: pricing and both ratio tests break ties on the smallest
    column/basis index, and the refactorisation orders columns by
@@ -49,6 +51,19 @@ let refactor_interval = 64 (* fresh etas between refactorisations *)
 
 type col = { idx : int array; v : float array }
 type problem = { m : int; n : int; cols : col array; b : float array }
+
+(* The matrix row-major: row [i]'s entries sit at positions
+   [r_start.(i) .. r_start.(i+1) - 1] of [r_col]/[r_val], columns
+   ascending. *)
+type rows = { r_start : int array; r_col : int array; r_val : float array }
+
+type model = {
+  problem : problem;
+  rows : rows;
+  order : int array; (* every column, by (nnz, index) *)
+  n_values : int;
+}
+
 type status = Basic | At_lower | At_upper
 type basis = { basic : int array; vstat : status array }
 
@@ -66,16 +81,68 @@ exception Singular of string
 type eta = { er : int; ei : int array; ev : float array }
 type factor = { f_basic : int array; f_etas : eta array }
 
-let no_eta = { er = 0; ei = [||]; ev = [||] }
+(* An eta file, flat: eta [k] pivots on row [e_row.(k)] and holds the
+   entries [e_start.(k) .. e_start.(k+1) - 1] of [e_idx]/[e_val], in row
+   order.  Etas are appended in place, so building one allocates nothing
+   once the arrays have grown to the file's size. *)
+type efile = {
+  mutable e_row : int array;
+  mutable e_start : int array; (* one longer than [e_row]; [e_start.(0) = 0] *)
+  mutable e_idx : int array;
+  mutable e_val : float array;
+  mutable e_n : int; (* etas in the file *)
+}
+
+let new_efile () = { e_row = [||]; e_start = [| 0 |]; e_idx = [||]; e_val = [||]; e_n = 0 }
+
+(* [dst.(0 .. n-1)] <- [src.(0 .. n-1)]: a plain loop stores an immediate
+   without the write barrier [Array.blit] pays on a major-heap array *)
+let copy_ints (src : int array) (dst : int array) n =
+  for k = 0 to n - 1 do
+    dst.(k) <- src.(k)
+  done
+
+(* Room for one more eta of at most [nnz] entries. *)
+let reserve f nnz =
+  let n = f.e_n in
+  if n >= Array.length f.e_row then begin
+    let cap = max 64 (2 * n) in
+    let row = Array.make cap 0 and start = Array.make (cap + 1) 0 in
+    copy_ints f.e_row row n;
+    copy_ints f.e_start start (n + 1);
+    f.e_row <- row;
+    f.e_start <- start
+  end;
+  let used = f.e_start.(n) in
+  if used + nnz > Array.length f.e_idx then begin
+    let cap = max 256 (max (used + nnz) (2 * Array.length f.e_idx)) in
+    let idx = Array.make cap 0 in
+    copy_ints f.e_idx idx used;
+    let value = Array.make cap 0. in
+    Array.blit f.e_val 0 value 0 used;
+    f.e_idx <- idx;
+    f.e_val <- value
+  end
+
+(* Close the eta on row [r] whose entries end before position [p]. *)
+let close_eta f r p =
+  f.e_row.(f.e_n) <- r;
+  f.e_start.(f.e_n + 1) <- p;
+  f.e_n <- f.e_n + 1
 
 (* Per-domain scratch.  Every solve and every factorisation on a domain
-   draws its row-length arrays from here, so a warm branch-and-bound node
-   allocates none of them.  The row arrays are sized exactly [wm] and
-   reallocated together when the row count changes.  Between
-   factorisations [fw] is all zero, [inpat] all false and [row_eta] all
-   -1.  [last_*] hold the last fresh factorisation of a warm basis: the
-   two children of a branched node start from the same parent basis, and
-   the second one finds the first one's factorisation here. *)
+   draws its row-length and column-length arrays from here, so a warm
+   branch-and-bound node allocates none of them.  The row arrays are sized
+   exactly [wm] and reallocated together when the row count changes; the
+   column arrays grow to the widest core seen.  Between factorisations
+   [fw] is all zero, [inpat] all false and [row_eta] all -1; between
+   pricing passes [alpha] is all +0 and [hit] all false.  [last_*] hold
+   the last fresh factorisation of a warm basis: the two children of a
+   branched node start from the same parent basis, and the second one
+   finds the first one's factorisation here.  A warm solve runs on
+   [last_file] itself, appending its pivots' etas after the first
+   [last_n], which the next solve on it truncates; a refactorisation
+   during a solve goes to [file]. *)
 type work = {
   mutable wm : int;
   mutable xb : float array;
@@ -85,8 +152,8 @@ type work = {
   mutable r : float array;
   mutable basic_w : int array;
   mutable vstat_w : status array;
-  mutable etas_w : eta array;
-  mutable order : int array;
+  file : efile;
+  mutable order : int array; (* column-length: a refactorisation's column order *)
   mutable fw : float array; (* the column being factorised *)
   mutable inpat : bool array; (* row is in the column's nonzero pattern *)
   mutable pat : int array; (* the pattern's rows, first [np] valid *)
@@ -94,9 +161,18 @@ type work = {
   mutable np : int;
   mutable heap : int array; (* eta indices still to apply, a min-heap *)
   mutable hn : int;
-  mutable last_problem : problem option;
+  mutable f_basic_w : int array; (* a refactorisation's row assignment *)
+  mutable alpha : float array; (* v·A_j of the last pricing pass *)
+  mutable hit : bool array; (* column has an entry in a nonzero row of v *)
+  mutable touched : int array; (* those columns, first [nt] valid *)
+  mutable nt : int;
+  mutable x : float array; (* every column's value, at extraction *)
+  mutable last_model : model option;
   mutable last_basic : int array;
-  mutable last_factor : factor option;
+  mutable last_ok : bool; (* the basis was factorisable *)
+  last_file : efile;
+  mutable last_n : int;
+  mutable last_rows : int array; (* its row assignment *)
 }
 
 let new_work () =
@@ -109,7 +185,7 @@ let new_work () =
     r = [||];
     basic_w = [||];
     vstat_w = [||];
-    etas_w = Array.make 32 no_eta;
+    file = new_efile ();
     order = [||];
     fw = [||];
     inpat = [||];
@@ -118,9 +194,18 @@ let new_work () =
     np = 0;
     heap = [||];
     hn = 0;
-    last_problem = None;
+    f_basic_w = [||];
+    alpha = [||];
+    hit = [||];
+    touched = [||];
+    nt = 0;
+    x = [||];
+    last_model = None;
     last_basic = [||];
-    last_factor = None;
+    last_ok = false;
+    last_file = new_efile ();
+    last_n = 0;
+    last_rows = [||];
   }
 
 let ensure_rows ws m =
@@ -132,12 +217,25 @@ let ensure_rows ws m =
     ws.w <- Array.make m 0.;
     ws.r <- Array.make m 0.;
     ws.basic_w <- Array.make m 0;
-    ws.order <- Array.make m 0;
+
     ws.fw <- Array.make m 0.;
     ws.inpat <- Array.make m false;
     ws.pat <- Array.make m 0;
     ws.row_eta <- Array.make m (-1);
-    ws.heap <- Array.make m 0
+    ws.heap <- Array.make m 0;
+    ws.f_basic_w <- Array.make m 0;
+    ws.last_rows <- Array.make m 0;
+    (* the kept factorisation's row assignment went with the old arrays *)
+    ws.last_model <- None
+  end
+
+let ensure_cols ws n =
+  if Array.length ws.alpha < n then begin
+    ws.alpha <- Array.make n 0.;
+    ws.hit <- Array.make n false;
+    ws.touched <- Array.make n 0;
+    ws.order <- Array.make n 0;
+    ws.x <- Array.make n 0.
   end
 
 (* The domain's workspace is checked out for the length of one call, so
@@ -164,14 +262,15 @@ type core = {
   m : int;
   n : int;
   cols : col array;
+  rows : rows; (* [cols] row-major *)
+  order : int array; (* [cols] by (nnz, index) *)
   b : float array;
   lower : float array;
   upper : float array;
   basic : int array; (* row -> column *)
   vstat : status array; (* column -> status *)
   xb : float array; (* basic values, by row *)
-  mutable etas : eta array; (* 0 .. n_etas-1 valid *)
-  mutable n_etas : int;
+  mutable file : efile; (* the workspace's [file] or [last_file] *)
   mutable fresh : int; (* etas pushed since the last factorisation *)
   ws : work;
 }
@@ -185,73 +284,91 @@ let nonbasic_value core j =
 (* ------------------------------------------------------------------ *)
 (* eta file *)
 
-let push_eta core e =
-  if core.n_etas = Array.length core.etas then begin
-    let bigger = Array.make (max 32 (2 * core.n_etas)) e in
-    Array.blit core.etas 0 bigger 0 core.n_etas;
-    core.etas <- bigger;
-    core.ws.etas_w <- bigger
-  end;
-  core.etas.(core.n_etas) <- e;
-  core.n_etas <- core.n_etas + 1;
-  core.fresh <- core.fresh + 1
-
 (* Entry of row [i] in the eta absorbing pivot row [r] of the FTRANned
    column [w] — eta_r = 1/w_r, eta_i = -w_i/w_r, none where w_i = 0 —
-   written at position [p]; returns the next free position. *)
-let put_entry w ei ev r p i =
+   written at position [p] of [f]; returns the next free position. *)
+let put_entry f w r p i =
   if i = r then begin
-    ei.(p) <- r;
-    ev.(p) <- 1. /. w.(r);
+    f.e_idx.(p) <- r;
+    f.e_val.(p) <- 1. /. w.(r);
     p + 1
   end
   else if w.(i) <> 0. then begin
-    ei.(p) <- i;
-    ev.(p) <- -.w.(i) /. w.(r);
+    f.e_idx.(p) <- i;
+    f.e_val.(p) <- -.w.(i) /. w.(r);
     p + 1
   end
   else p
 
-(* Eta absorbing pivot row [r] of the FTRANned column [w], entries in row
-   order. *)
-let eta_of (w : float array) r =
-  let m = Array.length w in
-  let nnz = ref 1 in
-  for i = 0 to m - 1 do
-    if i <> r && w.(i) <> 0. then incr nnz
+(* Append the eta absorbing pivot row [r] of the FTRANned column [w],
+   entries in row order. *)
+let push_eta core (w : float array) r =
+  let f = core.file in
+  reserve f core.m;
+  let p = ref f.e_start.(f.e_n) in
+  for i = 0 to r - 1 do
+    if w.(i) <> 0. then p := put_entry f w r !p i
   done;
-  let ei = Array.make !nnz 0 in
-  let ev = Array.make !nnz 0. in
-  let p = ref 0 in
-  for i = 0 to m - 1 do
-    p := put_entry w ei ev r !p i
+  p := put_entry f w r !p r;
+  for i = r + 1 to core.m - 1 do
+    if w.(i) <> 0. then p := put_entry f w r !p i
   done;
-  { er = r; ei; ev }
+  close_eta f r !p;
+  core.fresh <- core.fresh + 1
+
+(* The eta sweeps below skip bounds checks.  Every row an eta of the
+   core's file names is below the core's row count: the file factorises a
+   basis of these rows, from validated columns, and its pivot etas come
+   from row-length vectors.  The offsets of its first [e_n] etas lie
+   within its arrays, and [check_rows] checks that the swept vector spans
+   the rows. *)
+let check_rows core v =
+  if Array.length v < core.m then invalid_arg "Simplex: vector shorter than the basis"
 
 (* v <- B^-1 v *)
 let ftran core v =
-  for k = 0 to core.n_etas - 1 do
-    let e = core.etas.(k) in
-    let t = v.(e.er) in
+  check_rows core v;
+  let { e_row; e_start; e_idx; e_val; e_n } = core.file in
+  for k = 0 to e_n - 1 do
+    let r = Array.unsafe_get e_row k in
+    let t = Array.unsafe_get v r in
     if t <> 0. then begin
-      v.(e.er) <- 0.;
-      let ei = e.ei and ev = e.ev in
-      for p = 0 to Array.length ei - 1 do
-        v.(ei.(p)) <- v.(ei.(p)) +. (ev.(p) *. t)
+      Array.unsafe_set v r 0.;
+      for p = Array.unsafe_get e_start k to Array.unsafe_get e_start (k + 1) - 1 do
+        let i = Array.unsafe_get e_idx p in
+        Array.unsafe_set v i (Array.unsafe_get v i +. (Array.unsafe_get e_val p *. t))
       done
     end
   done
 
 (* y <- y B^-1 (row vector) *)
 let btran core y =
-  for k = core.n_etas - 1 downto 0 do
-    let e = core.etas.(k) in
-    let ei = e.ei and ev = e.ev in
+  check_rows core y;
+  let { e_row; e_start; e_idx; e_val; e_n } = core.file in
+  for k = e_n - 1 downto 0 do
     let acc = ref 0. in
-    for p = 0 to Array.length ei - 1 do
-      acc := !acc +. (ev.(p) *. y.(ei.(p)))
+    for p = Array.unsafe_get e_start k to Array.unsafe_get e_start (k + 1) - 1 do
+      acc := !acc +. (Array.unsafe_get e_val p *. Array.unsafe_get y (Array.unsafe_get e_idx p))
     done;
-    y.(e.er) <- !acc
+    Array.unsafe_set y (Array.unsafe_get e_row k) !acc
+  done
+
+(* rho <- rho B^-1 and y <- y B^-1 in one sweep of the eta file; each
+   vector gets exactly the operations [btran] gives it *)
+let btran2 core rho y =
+  check_rows core rho;
+  check_rows core y;
+  let { e_row; e_start; e_idx; e_val; e_n } = core.file in
+  for k = e_n - 1 downto 0 do
+    let acc_r = ref 0. and acc_y = ref 0. in
+    for p = Array.unsafe_get e_start k to Array.unsafe_get e_start (k + 1) - 1 do
+      let i = Array.unsafe_get e_idx p and a = Array.unsafe_get e_val p in
+      acc_r := !acc_r +. (a *. Array.unsafe_get rho i);
+      acc_y := !acc_y +. (a *. Array.unsafe_get y i)
+    done;
+    let r = Array.unsafe_get e_row k in
+    Array.unsafe_set rho r !acc_r;
+    Array.unsafe_set y r !acc_y
   done
 
 let load_col core j w =
@@ -261,7 +378,7 @@ let load_col core j w =
     w.(c.idx.(p)) <- c.v.(p)
   done
 
-(* rho · A_j for a dense row vector rho *)
+(* rho · A_j for a dense row vector rho: one column's price *)
 let row_dot core rho j =
   let c = core.cols.(j) in
   let acc = ref 0. in
@@ -269,6 +386,104 @@ let row_dot core rho j =
     acc := !acc +. (rho.(c.idx.(p)) *. c.v.(p))
   done;
   !acc
+
+(* [cols] row-major, each row's columns ascending *)
+let transpose m (cols : col array) =
+  let r_start = Array.make (m + 1) 0 in
+  Array.iter (fun c -> Array.iter (fun i -> r_start.(i + 1) <- r_start.(i + 1) + 1) c.idx) cols;
+  for i = 0 to m - 1 do
+    r_start.(i + 1) <- r_start.(i + 1) + r_start.(i)
+  done;
+  let r_col = Array.make r_start.(m) 0 and r_val = Array.make r_start.(m) 0. in
+  let fill = Array.sub r_start 0 m in
+  Array.iteri
+    (fun j c ->
+      for p = 0 to Array.length c.idx - 1 do
+        let i = c.idx.(p) in
+        r_col.(fill.(i)) <- j;
+        r_val.(fill.(i)) <- c.v.(p);
+        fill.(i) <- fill.(i) + 1
+      done)
+    cols;
+  { r_start; r_col; r_val }
+
+(* Every column index of [cols], by (nnz, index): counted by nnz, placed
+   in index order. *)
+let col_order (cols : col array) =
+  let top = Array.fold_left (fun d c -> max d (Array.length c.idx)) 0 cols in
+  let start = Array.make (top + 2) 0 in
+  Array.iter (fun c -> start.(Array.length c.idx + 1) <- start.(Array.length c.idx + 1) + 1) cols;
+  for d = 1 to top + 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let order = Array.make (Array.length cols) 0 in
+  Array.iteri
+    (fun j c ->
+      let d = Array.length c.idx in
+      order.(start.(d)) <- j;
+      start.(d) <- start.(d) + 1)
+    cols;
+  order
+
+(* Pricing: alpha_j <- v·A_j for every column with an entry in a nonzero
+   row of [v], summed row by row in ascending row order.  Those columns
+   are listed in [touched.(0 .. nt-1)] in first-touch order; every other
+   alpha_j is +0.  Bit for bit this is [row_dot]: a column receives the
+   same products in the same (ascending-row) order, and a skipped row
+   contributes a product ±0 to a sum that, started at +0, is never -0, so
+   adding it would change nothing (matrix entries are finite).  Callers
+   read [alpha], then [unprice]. *)
+let price_rows ws { r_start; r_col; r_val } m v =
+  let alpha = ws.alpha and hit = ws.hit and touched = ws.touched in
+  let nt = ref 0 in
+  for i = 0 to m - 1 do
+    let vi = v.(i) in
+    if vi <> 0. then
+      for p = r_start.(i) to r_start.(i + 1) - 1 do
+        let j = r_col.(p) in
+        if not hit.(j) then begin
+          hit.(j) <- true;
+          touched.(!nt) <- j;
+          incr nt
+        end;
+        alpha.(j) <- alpha.(j) +. (vi *. r_val.(p))
+      done
+  done;
+  ws.nt <- !nt
+
+let price core v = price_rows core.ws core.rows core.m v
+
+let unprice ws =
+  for k = 0 to ws.nt - 1 do
+    let j = ws.touched.(k) in
+    ws.alpha.(j) <- 0.;
+    ws.hit.(j) <- false
+  done;
+  ws.nt <- 0
+
+(* Put the touched columns of an [n]-column pricing pass in ascending
+   order: insertion-sort a short list, read a long one off the marks. *)
+let sort_touched ws n =
+  let t = ws.touched and nt = ws.nt in
+  if nt * nt <= 4 * n then
+    for q = 1 to nt - 1 do
+      let j = t.(q) in
+      let s = ref (q - 1) in
+      while !s >= 0 && t.(!s) > j do
+        t.(!s + 1) <- t.(!s);
+        decr s
+      done;
+      t.(!s + 1) <- j
+    done
+  else begin
+    let k = ref 0 in
+    for j = 0 to n - 1 do
+      if ws.hit.(j) then begin
+        t.(!k) <- j;
+        incr k
+      end
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* factorisation and derived quantities *)
@@ -319,118 +534,133 @@ let enter_pattern ws i ~after =
     if e > after then heap_push ws e
   end
 
+(* Append to [f] the eta pivoting on row [r] of the factorised column
+   [ws.fw], entries in row order: a short pattern (np² <= 4m) is
+   insertion-sorted, a long one read off by scanning the rows. *)
+let pattern_eta ws f m r =
+  let fw = ws.fw and pat = ws.pat and np = ws.np in
+  reserve f np;
+  let p = ref f.e_start.(f.e_n) in
+  if np * np <= 4 * m then begin
+    for q = 1 to np - 1 do
+      let i = pat.(q) in
+      let s = ref (q - 1) in
+      while !s >= 0 && pat.(!s) > i do
+        pat.(!s + 1) <- pat.(!s);
+        decr s
+      done;
+      pat.(!s + 1) <- i
+    done;
+    for q = 0 to np - 1 do
+      p := put_entry f fw r !p pat.(q)
+    done
+  end
+  else
+    for i = 0 to m - 1 do
+      if ws.inpat.(i) then p := put_entry f fw r !p i
+    done;
+  close_eta f r !p
+
+(* Factorise column [c]: FTRAN it through the etas of [f] so far, pick
+   its pivot row and append its eta.  Returns the pivot row, or -1 when
+   the column has no acceptable pivot.  Hypersparse: only the column's
+   nonzero pattern is touched.  An eta is applied when the column is
+   nonzero in its pivot row, in increasing eta order (a min-heap of
+   pending eta indices, fed as rows enter the pattern). *)
+let pattern_column ws f m c =
+  let fw = ws.fw and pat = ws.pat and row_eta = ws.row_eta in
+  ws.np <- 0;
+  ws.hn <- 0;
+  for p = 0 to Array.length c.idx - 1 do
+    let i = c.idx.(p) in
+    fw.(i) <- c.v.(p);
+    enter_pattern ws i ~after:(-1)
+  done;
+  while ws.hn > 0 do
+    let e = heap_pop ws in
+    let er = f.e_row.(e) in
+    let t = fw.(er) in
+    if t <> 0. then begin
+      fw.(er) <- 0.;
+      for p = f.e_start.(e) to f.e_start.(e + 1) - 1 do
+        let i = f.e_idx.(p) in
+        fw.(i) <- fw.(i) +. (f.e_val.(p) *. t);
+        enter_pattern ws i ~after:e
+      done
+    end
+  done;
+  let r = ref (-1) in
+  let best = ref 0. in
+  for q = 0 to ws.np - 1 do
+    let i = pat.(q) in
+    if row_eta.(i) < 0 then begin
+      let a = abs_float fw.(i) in
+      if a > !best || (a = !best && a > 0. && i < !r) then begin
+        best := a;
+        r := i
+      end
+    end
+  done;
+  let r = if !best <= eps_singular then -1 else !r in
+  if r >= 0 then pattern_eta ws f m r;
+  for q = 0 to ws.np - 1 do
+    let i = pat.(q) in
+    fw.(i) <- 0.;
+    ws.inpat.(i) <- false
+  done;
+  r
+
 (* Fresh factorisation of the basis [basic] (row count = its length) of
-   the columns [cols].  Columns enter in (nnz, index) order; each is
-   FTRANned through the etas built so far and pivots on its
-   largest-magnitude entry among still-unpivoted rows, ties to the smallest
-   row.  Hypersparse: only the column's nonzero pattern is touched.  An eta
-   is applied when the column is nonzero in its pivot row, in increasing
-   eta order (a min-heap of pending eta indices, fed as rows enter the
-   pattern); the pivot search and the new eta walk the pattern.  Each
-   floating-point operation is the one a dense sweep over every eta and
-   every row performs, in the same order, so the etas are bit-identical to
-   it.  [None] when the basis is numerically singular. *)
-let factor ws cols basic =
+   the columns [cols], written to the eta file [f] (emptied first) and the
+   row assignment [f_basic] ([f_basic.(i)] is the column pivoting on row
+   [i]).  Columns enter in (nnz, index) order; each is FTRANned through
+   the etas built so far and pivots on its largest-magnitude entry among
+   still-unpivoted rows, ties to the smallest row.  Each floating-point
+   operation is the one a dense sweep over every eta and every row
+   performs, in the same order, so the etas are bit-identical to it.
+   False when the basis is numerically singular. *)
+let factor ws cols all basic f f_basic =
   Atomic.incr Stats.refactors;
   Mf_util.Prof.time "lp.factorize" @@ fun () ->
   let m = Array.length basic in
   ensure_rows ws m;
+  (* the basic columns in (nnz, index) order: the basic ones of [all],
+     which lists every column in that order, picked without a branch.
+     The pricing marks [hit] mark them: no pricing pass is open during a
+     factorisation. *)
   let nc = Array.length cols in
-  let order = ws.order in
+  ensure_cols ws nc;
+  let order = ws.order and inb = ws.hit in
   for i = 0 to m - 1 do
-    let j = basic.(i) in
-    order.(i) <- (Array.length cols.(j).idx * nc) + j
+    inb.(basic.(i)) <- true
   done;
-  Array.sort Int.compare order;
-  let fw = ws.fw and pat = ws.pat and row_eta = ws.row_eta in
-  let etas = Array.make m no_eta in
-  let new_basic = Array.make m (-1) in
-  let ok = ref true in
   let k = ref 0 in
-  let nnz_built = ref 0 in
+  for q = 0 to nc - 1 do
+    let j = all.(q) in
+    order.(!k) <- j;
+    k := !k + Bool.to_int inb.(j)
+  done;
+  for i = 0 to m - 1 do
+    inb.(basic.(i)) <- false
+  done;
+  let row_eta = ws.row_eta in
+  f.e_n <- 0;
+  (* a repeated basic column leaves a row without one: singular *)
+  let ok = ref (!k = m) in
+  let k = ref 0 in
   while !ok && !k < m do
-    let j = order.(!k) mod nc in
-    let c = cols.(j) in
-    ws.np <- 0;
-    ws.hn <- 0;
-    for p = 0 to Array.length c.idx - 1 do
-      let i = c.idx.(p) in
-      fw.(i) <- c.v.(p);
-      enter_pattern ws i ~after:(-1)
-    done;
-    while ws.hn > 0 do
-      let e = heap_pop ws in
-      let eta = etas.(e) in
-      let t = fw.(eta.er) in
-      if t <> 0. then begin
-        fw.(eta.er) <- 0.;
-        let ei = eta.ei and ev = eta.ev in
-        for p = 0 to Array.length ei - 1 do
-          let i = ei.(p) in
-          fw.(i) <- fw.(i) +. (ev.(p) *. t);
-          enter_pattern ws i ~after:e
-        done
-      end
-    done;
-    let r = ref (-1) in
-    let best = ref 0. in
-    let np = ws.np in
-    for q = 0 to np - 1 do
-      let i = pat.(q) in
-      if row_eta.(i) < 0 then begin
-        let a = abs_float fw.(i) in
-        if a > !best || (a = !best && a > 0. && i < !r) then begin
-          best := a;
-          r := i
-        end
-      end
-    done;
-    if !best <= eps_singular then ok := false
+    let j = order.(!k) in
+    let r = pattern_column ws f m cols.(j) in
+    if r < 0 then ok := false
     else begin
-      let r = !r in
-      let nnz = ref 1 in
-      for q = 0 to np - 1 do
-        let i = pat.(q) in
-        if i <> r && fw.(i) <> 0. then incr nnz
-      done;
-      let ei = Array.make !nnz 0 in
-      let ev = Array.make !nnz 0. in
-      let p = ref 0 in
-      (* entries in row order: sort a short pattern, scan the rows for a
-         long one *)
-      if np * np <= m then begin
-        for q = 1 to np - 1 do
-          let i = pat.(q) in
-          let s = ref (q - 1) in
-          while !s >= 0 && pat.(!s) > i do
-            pat.(!s + 1) <- pat.(!s);
-            decr s
-          done;
-          pat.(!s + 1) <- i
-        done;
-        for q = 0 to np - 1 do
-          p := put_entry fw ei ev r !p pat.(q)
-        done
-      end
-      else
-        for i = 0 to m - 1 do
-          if ws.inpat.(i) then p := put_entry fw ei ev r !p i
-        done;
-      etas.(!k) <- { er = r; ei; ev };
-      nnz_built := !nnz_built + !nnz;
       row_eta.(r) <- !k;
-      new_basic.(r) <- j;
+      f_basic.(r) <- j;
       incr k
-    end;
-    for q = 0 to ws.np - 1 do
-      let i = pat.(q) in
-      fw.(i) <- 0.;
-      ws.inpat.(i) <- false
-    done
+    end
   done;
   Array.fill row_eta 0 m (-1);
-  Mf_util.Prof.add_count "lp.factorize" !nnz_built;
-  if !ok then Some { f_basic = new_basic; f_etas = etas } else None
+  Mf_util.Prof.add_count "lp.factorize" f.e_start.(f.e_n);
+  !ok
 
 let factorize (p : problem) basic =
   if Array.length basic <> p.m || Array.length p.cols <> p.n then
@@ -443,35 +673,36 @@ let factorize (p : problem) basic =
       let c = p.cols.(j) in
       if Array.length c.idx <> Array.length c.v then
         invalid_arg "Simplex.factorize: ragged column";
-      Array.iter
-        (fun i -> if i < 0 || i >= p.m then invalid_arg "Simplex.factorize: row out of range")
+      Array.iteri
+        (fun q i ->
+          if i < 0 || i >= p.m then invalid_arg "Simplex.factorize: row out of range";
+          if q > 0 && c.idx.(q - 1) >= i then
+            invalid_arg "Simplex.factorize: rows not increasing")
         c.idx)
     basic;
-  with_work (fun ws -> factor ws p.cols basic)
-
-(* Make [f] the core's eta file and row assignment.  The etas are shared
-   read-only; the ones pushed after them are the core's own. *)
-let load_factor core f =
-  let m = core.m in
-  if Array.length core.etas < m + 32 then begin
-    core.etas <- Array.make (2 * m + 32) no_eta;
-    core.ws.etas_w <- core.etas
-  end;
-  Array.blit f.f_etas 0 core.etas 0 m;
-  core.n_etas <- m;
-  Array.blit f.f_basic 0 core.basic 0 m;
-  (* the factorisation's own etas are the baseline, not drift *)
-  core.fresh <- 0
+  let f = new_efile () and f_basic = Array.make p.m (-1) in
+  if not (with_work (fun ws -> factor ws p.cols (col_order p.cols) basic f f_basic)) then None
+  else
+    let eta k =
+      let lo = f.e_start.(k) and hi = f.e_start.(k + 1) in
+      { er = f.e_row.(k); ei = Array.sub f.e_idx lo (hi - lo); ev = Array.sub f.e_val lo (hi - lo) }
+    in
+    Some { f_basic; f_etas = Array.init f.e_n eta }
 
 (* Rebuild the eta file from the current basis.  Returns false when the
    basis is numerically singular.  Row assignment may permute, so callers
    must recompute [xb] afterwards. *)
 let factorize_core core =
-  match factor core.ws core.cols core.basic with
-  | Some f ->
-    load_factor core f;
-    true
-  | None -> false
+  let ws = core.ws in
+  (* never over the kept warm factorisation: a sibling may still need it *)
+  core.file <- ws.file;
+  factor ws core.cols core.order core.basic core.file ws.f_basic_w
+  && begin
+       copy_ints ws.f_basic_w core.basic core.m;
+       (* the factorisation's own etas are the baseline, not drift *)
+       core.fresh <- 0;
+       true
+     end
 
 (* xb <- B^-1 (b - A_N x_N) *)
 let compute_xb core =
@@ -510,39 +741,42 @@ let maybe_refactor core =
 (* ------------------------------------------------------------------ *)
 (* primal simplex *)
 
-(* Entering column choice against current duals [y].  A nonbasic variable
-   improves the objective when it is at its lower bound with negative
-   reduced cost (increase it) or at its upper bound with positive reduced
-   cost (decrease it).  [bland] forces smallest-index selection for
-   anti-cycling. *)
+(* Entering column choice against current duals [y], priced row-wise.  A
+   nonbasic variable improves the objective when it is at its lower bound
+   with negative reduced cost (increase it) or at its upper bound with
+   positive reduced cost (decrease it).  [bland] forces smallest-index
+   selection for anti-cycling. *)
 let choose_entering core ~c ~y ~bland ~frozen =
+  price core y;
+  let alpha = core.ws.alpha in
   let best = ref (-1) in
   let best_score = ref eps_cost in
-  (try
-     for j = 0 to core.n - 1 do
-       if (not (frozen j)) && core.vstat.(j) <> Basic then begin
-         let improving =
-           match core.vstat.(j) with
-           | Basic -> 0.
-           | At_lower -> -.reduced core c y j
-           | At_upper ->
-             (* a variable with equal bounds cannot move *)
-             if core.upper.(j) -. core.lower.(j) < eps_feas then 0.
-             else reduced core c y j
-         in
-         if improving > eps_cost then begin
-           if bland then begin
-             best := j;
-             raise Exit
-           end;
-           if improving > !best_score then begin
-             best_score := improving;
-             best := j
-           end
-         end
-       end
-     done
-   with Exit -> ());
+  let j = ref 0 in
+  while !j < core.n do
+    let jj = !j in
+    incr j;
+    if (not (frozen jj)) && core.vstat.(jj) <> Basic then begin
+      let improving =
+        match core.vstat.(jj) with
+        | Basic -> 0.
+        | At_lower -> -.(c.(jj) -. alpha.(jj))
+        | At_upper ->
+          (* a variable with equal bounds cannot move *)
+          if core.upper.(jj) -. core.lower.(jj) < eps_feas then 0. else c.(jj) -. alpha.(jj)
+      in
+      if improving > eps_cost then begin
+        if bland then begin
+          best := jj;
+          j := core.n
+        end
+        else if improving > !best_score then begin
+          best_score := improving;
+          best := jj
+        end
+      end
+    end
+  done;
+  unprice core.ws;
   !best
 
 (* One primal iteration for entering column [j] ([w] is row-length
@@ -605,7 +839,7 @@ let primal_step core j w =
       core.basic.(r) <- j;
       core.vstat.(j) <- Basic;
       core.xb.(r) <- enter_value;
-      push_eta core (eta_of w r);
+      push_eta core w r;
       maybe_refactor core;
       `Progress
     end
@@ -649,11 +883,11 @@ let primal_opt core ~c ~max_iters ~budget ~frozen ~spent =
    constraint, so skipping them keeps the no-entering-column certificate
    (primal infeasibility) valid.  Short-step variant — no dual bound-flip
    ratio test; termination is guaranteed by [max_iters] with a cold
-   fallback behind it. *)
+   fallback behind it.  On entry [ws.y] holds the duals c_B B^-1 of the
+   starting basis, so the first iteration's BTRAN computes only rho. *)
 let dual_opt core ~c ~max_iters ~budget ~spent =
-  let y = core.ws.y in
-  let rho = core.ws.rho in
-  let w = core.ws.w in
+  let ws = core.ws in
+  let y = ws.y and rho = ws.rho and w = ws.w in
   let iters = ref 0 in
   let rec loop () =
     if !iters > max_iters then `Iter_limit
@@ -662,10 +896,11 @@ let dual_opt core ~c ~max_iters ~budget ~spent =
       let r = ref (-1) in
       let viol = ref eps_feas in
       let below = ref false in
+      let { basic; lower; upper; xb; _ } = core in
       for i = 0 to core.m - 1 do
-        let bvar = core.basic.(i) in
-        let v_lo = core.lower.(bvar) -. core.xb.(i) in
-        let v_up = core.xb.(i) -. core.upper.(bvar) in
+        let bvar = basic.(i) in
+        let v_lo = lower.(bvar) -. xb.(i) in
+        let v_up = xb.(i) -. upper.(bvar) in
         if v_lo > !viol then begin
           viol := v_lo;
           r := i;
@@ -682,14 +917,25 @@ let dual_opt core ~c ~max_iters ~budget ~spent =
         let r = !r and below = !below in
         Array.fill rho 0 core.m 0.;
         rho.(r) <- 1.;
-        btran core rho;
-        compute_y core c y;
+        (* before the first pivot, [y] is the caller's duals of this basis *)
+        if !iters = 0 then btran core rho
+        else begin
+          for i = 0 to core.m - 1 do
+            y.(i) <- c.(core.basic.(i))
+          done;
+          btran2 core rho y
+        end;
+        (* ratio test over the columns rho touches, in ascending order: an
+           untouched column has alpha = +0 and is never eligible *)
+        price core rho;
+        sort_touched ws core.n;
         let q = ref (-1) in
         let best = ref infinity in
-        for j = 0 to core.n - 1 do
+        for k = 0 to ws.nt - 1 do
+          let j = ws.touched.(k) in
           if core.vstat.(j) <> Basic && core.upper.(j) -. core.lower.(j) >= eps_feas
           then begin
-            let alpha = row_dot core rho j in
+            let alpha = ws.alpha.(j) in
             let eligible =
               if below then
                 (core.vstat.(j) = At_lower && alpha < -.eps_pivot)
@@ -707,6 +953,7 @@ let dual_opt core ~c ~max_iters ~budget ~spent =
             end
           end
         done;
+        unprice ws;
         if !q < 0 then
           (* dual unbounded: certifies the primal has no feasible point *)
           `Infeasible
@@ -727,15 +974,16 @@ let dual_opt core ~c ~max_iters ~budget ~spent =
             in
             let theta = (core.xb.(r) -. target) /. w.(r) in
             let enter_value = nonbasic_value core q +. theta in
+            let xb = core.xb in
             for i = 0 to core.m - 1 do
-              if i <> r then core.xb.(i) <- core.xb.(i) -. (w.(i) *. theta)
+              if i <> r then xb.(i) <- xb.(i) -. (w.(i) *. theta)
             done;
             let old = core.basic.(r) in
             core.vstat.(old) <- (if below then At_lower else At_upper);
             core.basic.(r) <- q;
             core.vstat.(q) <- Basic;
             core.xb.(r) <- enter_value;
-            push_eta core (eta_of w r);
+            push_eta core w r;
             maybe_refactor core;
             loop ()
           end
@@ -748,22 +996,25 @@ let dual_opt core ~c ~max_iters ~budget ~spent =
 (* ------------------------------------------------------------------ *)
 (* solution extraction *)
 
-let values_of core n_structural =
-  let x = Array.make n_structural 0. in
+(* The objective over the first [n_structural] columns, summed in column
+   order over every one of them; only the first [n_values] values are
+   copied out, once, into the result. *)
+let extract core ~n_structural ~n_values ~c outcome =
+  let x = core.ws.x in
   for j = 0 to n_structural - 1 do
-    if core.vstat.(j) <> Basic then x.(j) <- nonbasic_value core j
+    match core.vstat.(j) with
+    | At_lower -> x.(j) <- core.lower.(j)
+    | At_upper -> x.(j) <- core.upper.(j)
+    | Basic -> ()
   done;
   for i = 0 to core.m - 1 do
     if core.basic.(i) < n_structural then x.(core.basic.(i)) <- core.xb.(i)
   done;
-  x
-
-let extract core ~n_structural ~c outcome =
-  let values = values_of core n_structural in
   let objective = ref 0. in
   for j = 0 to n_structural - 1 do
-    objective := !objective +. (c.(j) *. values.(j))
+    objective := !objective +. (c.(j) *. x.(j))
   done;
+  let values = Array.sub x 0 n_values in
   match outcome with
   | `Optimal -> Optimal { objective = !objective; values }
   | `Iter_limit ->
@@ -771,12 +1022,26 @@ let extract core ~n_structural ~c outcome =
        usable (suboptimal) point *)
     Feasible { objective = !objective; values }
 
+(* Storable only when no artificial occupies the basis.  Copied by plain
+   loops: the arrays are too long for the minor heap, and a loop over an
+   immediate-valued array initialises without a write barrier. *)
 let snapshot core ~n_structural =
-  (* storable only when no artificial occupies the basis *)
-  if Array.exists (fun j -> j >= n_structural) core.basic then None
-  else
-    Some
-      { basic = Array.copy core.basic; vstat = Array.sub core.vstat 0 n_structural }
+  let m = core.m in
+  let i = ref 0 in
+  while !i < m && core.basic.(!i) < n_structural do
+    incr i
+  done;
+  if !i < m then None
+  else begin
+    let basic = Array.make m 0 and vstat = Array.make n_structural Basic in
+    for i = 0 to m - 1 do
+      basic.(i) <- core.basic.(i)
+    done;
+    for j = 0 to n_structural - 1 do
+      vstat.(j) <- core.vstat.(j)
+    done;
+    Some { basic; vstat }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* cold path: two-phase primal from an artificial basis *)
@@ -818,13 +1083,17 @@ let expel_artificials core ~n_structural =
       Array.fill rho 0 core.m 0.;
       rho.(i) <- 1.;
       btran core rho;
+      (* the first usable column; an untouched one has alpha = +0 *)
+      price core rho;
+      let ws = core.ws in
       let enter = ref (-1) in
-      let j = ref 0 in
-      while !enter < 0 && !j < n_structural do
-        if core.vstat.(!j) <> Basic && abs_float (row_dot core rho !j) > 1e-6 then
-          enter := !j;
-        incr j
+      for k = 0 to ws.nt - 1 do
+        let j = ws.touched.(k) in
+        if j < n_structural && (!enter < 0 || j < !enter) && core.vstat.(j) <> Basic
+           && abs_float ws.alpha.(j) > 1e-6
+        then enter := j
       done;
+      unprice ws;
       (if !enter < 0 then stuck.(core.basic.(i) - n_structural) <- true
        else begin
          let q = !enter in
@@ -838,7 +1107,7 @@ let expel_artificials core ~n_structural =
          core.basic.(i) <- q;
          core.vstat.(q) <- Basic;
          core.xb.(i) <- enter_value;
-         push_eta core (eta_of w i);
+         push_eta core w i;
          maybe_refactor core
        end);
       go ()
@@ -846,7 +1115,8 @@ let expel_artificials core ~n_structural =
   in
   go ()
 
-let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent_p =
+let solve_cold ws ~max_iters ~budget (md : model) ~lower ~upper ~c ~spent_p =
+  let problem = md.problem in
   let m = problem.m in
   let n_structural = problem.n in
   let n = n_structural + m in
@@ -871,6 +1141,7 @@ let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent
         end)
   in
   ensure_rows ws m;
+  ensure_cols ws n;
   for i = 0 to m - 1 do
     ws.basic_w.(i) <- n_structural + i
   done;
@@ -879,14 +1150,15 @@ let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent
       m;
       n;
       cols;
+      rows = transpose m cols;
+      order = col_order cols;
       b = problem.b;
       lower = Array.append lower (Array.make m 0.);
       upper = Array.append upper (Array.make m infinity);
       basic = ws.basic_w;
       vstat = Array.init n (fun j -> if j < n_structural then At_lower else Basic);
       xb = ws.xb;
-      etas = ws.etas_w;
-      n_etas = 0;
+      file = ws.file;
       fresh = 0;
       ws;
     }
@@ -916,7 +1188,7 @@ let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent
       match primal_opt core ~c:phase2_cost ~max_iters ~budget ~frozen ~spent:spent_p with
       | `Unbounded -> (Unbounded, None)
       | (`Optimal | `Iter_limit) as outcome ->
-        let result = extract core ~n_structural ~c outcome in
+        let result = extract core ~n_structural ~n_values:md.n_values ~c outcome in
         let basis =
           match result with
           | Optimal _ -> snapshot core ~n_structural
@@ -931,11 +1203,19 @@ let solve_cold ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c ~spent
 let basis_shape_ok ~m ~n (wb : basis) =
   Array.length wb.basic = m
   && Array.length wb.vstat = n
-  && Array.for_all (fun j -> j >= 0 && j < n && wb.vstat.(j) = Basic) wb.basic
   && begin
+       let ok = ref true in
+       for i = 0 to m - 1 do
+         let j = wb.basic.(i) in
+         if j < 0 || j >= n || wb.vstat.(j) <> Basic then ok := false
+       done;
+       (* with [m] Basic statuses, a repeated basic column leaves one of
+          them out of [basic]; the factorisation reports it singular *)
        let n_basic = ref 0 in
-       Array.iter (fun s -> if s = Basic then incr n_basic) wb.vstat;
-       !n_basic = m
+       for j = 0 to n - 1 do
+         if wb.vstat.(j) = Basic then incr n_basic
+       done;
+       !ok && !n_basic = m
      end
 
 let same_ints (a : int array) (b : int array) =
@@ -948,55 +1228,62 @@ let same_ints (a : int array) (b : int array) =
        !i = Array.length a
      end
 
-(* The fresh factorisation of the warm basis [basic] of [problem].  The
-   two children of a branched node bring the same parent basis, one after
-   the other, so the domain keeps its last one: keyed by the problem
-   (physically: the compiled model, hence its row count) and the basic
-   set, it is computed once and shared read-only. *)
-let warm_factor ws (problem : problem) basic =
-  match ws.last_problem with
-  | Some p when p == problem && same_ints ws.last_basic basic -> ws.last_factor
+(* The fresh factorisation of the warm basis [basic] of [md], kept in
+   [ws.last_file] and [ws.last_rows]; false when it is singular.  The two
+   children of a branched node bring the same parent basis, one after the
+   other, so the domain keeps its last one: keyed by the model
+   (physically, hence its row count) and the basic set, it is computed
+   once and each child's solve runs on it. *)
+let warm_factor ws (md : model) basic =
+  ensure_rows ws md.problem.m;
+  match ws.last_model with
+  | Some p when p == md && same_ints ws.last_basic basic -> ws.last_ok
   | _ ->
-    let f = factor ws problem.cols basic in
-    if Array.length ws.last_basic = Array.length basic then
-      Array.blit basic 0 ws.last_basic 0 (Array.length basic)
-    else ws.last_basic <- Array.copy basic;
-    ws.last_problem <- Some problem;
-    ws.last_factor <- f;
-    f
+    let ok = factor ws md.problem.cols md.order basic ws.last_file ws.last_rows in
+    if Array.length ws.last_basic <> Array.length basic then
+      ws.last_basic <- Array.make (Array.length basic) 0;
+    copy_ints basic ws.last_basic (Array.length basic);
+    ws.last_n <- ws.last_file.e_n;
+    ws.last_model <- Some md;
+    ws.last_ok <- ok;
+    ok
 
 (* Returns [Some (result, basis)] when the warm basis carried the solve to
    completion, [None] to request the cold fallback.  Never raises. *)
-let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : basis)
-    ~spent_p ~spent_d =
+let solve_warm ws ~max_iters ~budget (md : model) ~lower ~upper ~c (wb : basis) ~spent_p
+    ~spent_d =
+  let problem = md.problem in
   let m = problem.m in
   let n = problem.n in
-  if not (basis_shape_ok ~m ~n wb) then None
-  else
-    match warm_factor ws problem wb.basic with
-    | None -> None
-    | Some f -> (
-      ensure_rows ws m;
+  if not (basis_shape_ok ~m ~n wb && warm_factor ws md wb.basic) then None
+  else begin
+      ensure_cols ws n;
       if Array.length ws.vstat_w <> n then ws.vstat_w <- Array.make n Basic;
-      Array.blit wb.vstat 0 ws.vstat_w 0 n;
+      for j = 0 to n - 1 do
+        ws.vstat_w.(j) <- wb.vstat.(j)
+      done;
       let core =
         {
           m;
           n;
           cols = problem.cols;
+          rows = md.rows;
+          order = md.order;
           b = problem.b;
           lower;
           upper;
           basic = ws.basic_w;
           vstat = ws.vstat_w;
           xb = ws.xb;
-          etas = ws.etas_w;
-          n_etas = 0;
+          file = ws.last_file;
           fresh = 0;
           ws;
         }
       in
-      load_factor core f;
+      (* the solve appends its pivots' etas after the shared factorisation;
+         the next one on it drops them *)
+      ws.last_file.e_n <- ws.last_n;
+      copy_ints ws.last_rows core.basic m;
       match
         (* normalise statuses stranded by bound changes, then repair dual
            feasibility: a wrong-sign reduced cost on a boxed column is fixed
@@ -1009,11 +1296,12 @@ let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : 
         done;
         let y = ws.y in
         compute_y core c y;
+        price core y;
         let repairable = ref true in
         for j = 0 to n - 1 do
           if core.vstat.(j) <> Basic && core.upper.(j) -. core.lower.(j) >= eps_feas
           then begin
-            let d = reduced core c y j in
+            let d = c.(j) -. ws.alpha.(j) in
             match core.vstat.(j) with
             | At_lower when d < -.eps_cost ->
               if core.upper.(j) < infinity then core.vstat.(j) <- At_upper
@@ -1022,6 +1310,7 @@ let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : 
             | _ -> ()
           end
         done;
+        unprice ws;
         if not !repairable then None
         else begin
           compute_xb core;
@@ -1042,7 +1331,9 @@ let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : 
             with
             | `Unbounded -> Some (Unbounded, None)
             | (`Optimal | `Iter_limit) as outcome ->
-              let result = extract core ~n_structural:n ~c outcome in
+              let result =
+                extract core ~n_structural:n ~n_values:md.n_values ~c outcome
+              in
               let basis =
                 match result with
                 | Optimal _ -> snapshot core ~n_structural:n
@@ -1053,28 +1344,52 @@ let solve_warm ws ~max_iters ~budget (problem : problem) ~lower ~upper ~c (wb : 
         end
       with
       | outcome -> outcome
-      | exception Singular _ -> None)
+      | exception Singular _ -> None
+    end
 
 (* ------------------------------------------------------------------ *)
 (* entry point *)
 
-let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
-  let m = problem.m in
-  let n = problem.n in
-  if Array.length problem.cols <> n || Array.length problem.b <> m then
-    invalid_arg "Simplex.solve: malformed problem";
+(* Structure is checked here, once per model; bounds and costs, which
+   change from solve to solve, on every solve. *)
+let model ?n_values (p : problem) =
+  if Array.length p.cols <> p.n || Array.length p.b <> p.m then
+    invalid_arg "Simplex.model: malformed problem";
+  Array.iter
+    (fun c ->
+      if Array.length c.idx <> Array.length c.v then invalid_arg "Simplex.model: ragged column";
+      Array.iteri
+        (fun q i ->
+          if i < 0 || i >= p.m then invalid_arg "Simplex.model: row out of range";
+          if q > 0 && c.idx.(q - 1) >= i then invalid_arg "Simplex.model: rows not increasing")
+        c.idx)
+    p.cols;
+  let n_values =
+    match n_values with
+    | None -> p.n
+    | Some k when k >= 0 && k <= p.n -> k
+    | Some _ -> invalid_arg "Simplex.model: n_values out of range"
+  in
+  { problem = p; rows = transpose p.m p.cols; order = col_order p.cols; n_values }
+
+let price_all (md : model) v =
+  if Array.length v <> md.problem.m then invalid_arg "Simplex.price_all: dimension mismatch";
+  with_work (fun ws ->
+      ensure_cols ws md.problem.n;
+      price_rows ws md.rows md.problem.m v;
+      let alpha = Array.sub ws.alpha 0 md.problem.n in
+      unprice ws;
+      alpha)
+
+let solve ?max_iters ?budget ?warm (md : model) ~lower ~upper ~c =
+  let m = md.problem.m in
+  let n = md.problem.n in
   if Array.length lower <> n || Array.length upper <> n || Array.length c <> n then
     invalid_arg "Simplex.solve: dimension mismatch";
   for j = 0 to n - 1 do
     if not (Float.is_finite lower.(j)) then
       invalid_arg "Simplex.solve: infinite lower bound";
-    if upper.(j) < lower.(j) -. 1e-12 then invalid_arg "Simplex.solve: crossed bounds";
-    let cj = problem.cols.(j) in
-    if Array.length cj.idx <> Array.length cj.v then
-      invalid_arg "Simplex.solve: ragged column";
-    for p = 0 to Array.length cj.idx - 1 do
-      if cj.idx.(p) < 0 || cj.idx.(p) >= m then invalid_arg "Simplex.solve: row out of range"
-    done
+    if upper.(j) < lower.(j) -. 1e-12 then invalid_arg "Simplex.solve: crossed bounds"
   done;
   let max_iters =
     match max_iters with Some k -> k | None -> max 20_000 (200 * ((2 * m) + n))
@@ -1086,7 +1401,7 @@ let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
   let spent_d = ref 0 in
   with_work @@ fun ws ->
   let run_cold ~fell_back =
-    match solve_cold ws ~max_iters ~budget problem ~lower ~upper ~c ~spent_p with
+    match solve_cold ws ~max_iters ~budget md ~lower ~upper ~c ~spent_p with
     | result, basis ->
       ( result,
         basis,
@@ -1096,7 +1411,7 @@ let solve ?max_iters ?budget ?warm (problem : problem) ~lower ~upper ~c =
   match warm with
   | None -> run_cold ~fell_back:false
   | Some wb -> (
-    match solve_warm ws ~max_iters ~budget problem ~lower ~upper ~c wb ~spent_p ~spent_d with
+    match solve_warm ws ~max_iters ~budget md ~lower ~upper ~c wb ~spent_p ~spent_d with
     | Some (result, basis) ->
       ( result,
         basis,

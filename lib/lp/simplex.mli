@@ -52,7 +52,7 @@ end
 
 type col = { idx : int array; v : float array }
 (** One sparse column: row indices (strictly increasing) and matching
-    coefficients. *)
+    finite coefficients. *)
 
 type problem = {
   m : int;  (** rows *)
@@ -60,6 +60,23 @@ type problem = {
   cols : col array;  (** length [n] *)
   b : float array;  (** right-hand side, length [m] *)
 }
+
+type model
+(** A problem checked once and prepared for solving: its columns plus a
+    row-major copy of the matrix, which every pricing pass walks row by
+    row over the nonzero rows of the priced vector. *)
+
+val model : ?n_values:int -> problem -> model
+(** [model problem] checks the problem's structure (column count, ragged
+    columns, row indices in range and strictly increasing) and builds the
+    row-major copy.  Results of {!solve} on it carry the values of the
+    first [n_values] columns (default: all [n]); the objective always sums
+    every column.  Raises [Invalid_argument] on a malformed problem. *)
+
+val price_all : model -> float array -> float array
+(** [price_all model v] is [v·A_j] for every column [j], computed by the
+    row-wise pricing the simplex uses: bit for bit the column-wise dot
+    product over each column's entries in row order. *)
 
 type status = Basic | At_lower | At_upper
 
@@ -89,7 +106,7 @@ val factorize : problem -> int array -> factor option
     to the one a dense sweep over all rows and all etas would build.  A
     pure function of its arguments (it bumps {!Stats.refactors}); the
     simplex refactorises its bases with it.  Raises [Invalid_argument] on a
-    malformed basic set. *)
+    malformed basic set or basic column. *)
 
 type info = {
   primal_pivots : int;  (** primal pivots spent by this solve *)
@@ -115,14 +132,16 @@ val solve :
   ?max_iters:int ->
   ?budget:Mf_util.Budget.t ->
   ?warm:basis ->
-  problem ->
+  model ->
   lower:float array ->
   upper:float array ->
   c:float array ->
   result * basis option * info
-(** [solve problem ~lower ~upper ~c] minimises [c·x] subject to
+(** [solve model ~lower ~upper ~c] minimises [c·x] subject to
     [A x = b] and [lower <= x <= upper].  [upper.(j)] may be [infinity];
-    lower bounds must be finite.
+    lower bounds must be finite.  Raises [Invalid_argument] when a bound
+    or cost array does not have one entry per column, a lower bound is
+    infinite or the bounds cross.
 
     [max_iters] bounds pivots per phase (default scales with problem size);
     [budget] bounds wall-clock time (polled every 128 pivots).  Running out
@@ -136,6 +155,8 @@ val solve :
 
     The returned basis is [Some] exactly when the result is [Optimal] and
     the final basis is artificial-free; it aliases nothing — safe to store.
+    Neither do the result's values, one array of the model's [n_values]
+    entries.
 
     Raises [Failure] only on a numerically singular pivot on the cold path
     — an indication of a degenerate input matrix, not of resource

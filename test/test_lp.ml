@@ -368,6 +368,178 @@ let test_factorize_cases () =
     check Alcotest.(array int) "tie to the smallest row" [| 0; 1 |] f.f_basic;
     check Alcotest.bool "same as dense" true (same_factor (Some f) (dense_factor p [| 1; 0 |]))
 
+(* A seeded corpus of random sparse LPs for pinning the LP kernel bit for
+   bit: <=, >= and = rows, boxed and unbounded-above columns, explicit zero
+   and negative-zero coefficients, and duplicate terms that cancel.  Each
+   model is solved three times: cold, warm after fixing one fractional
+   variable, and warm after appending one cut row.  A record per solve
+   holds the result class, the objective's bits, the primal and dual
+   pivot counts, [warm], [fell_back] and a digest of the values' bits. *)
+let corpus_size = 200
+
+let corpus_coefs = [| 1.; -1.; 2.; -2.; 0.5; -0.5; 3.; 0.; -0.; 1.5 |]
+
+let corpus_model seed =
+  let rng = Rng.create ~seed in
+  let n = 4 + Rng.int rng 20 in
+  let m = 3 + Rng.int rng 16 in
+  let lp = Lp.create () in
+  let witness = Array.make n 0. in
+  let vars =
+    Array.init n (fun j ->
+        (* integral costs on half the models make ratio-test ties *)
+        let obj =
+          if seed mod 2 = 0 then float_of_int (Rng.int rng 5 - 2) else Rng.float rng 4. -. 2.
+        in
+        if Rng.int rng 4 = 0 then begin
+          witness.(j) <- Rng.float rng 3.;
+          Lp.add_var ~obj:(abs_float obj) lp
+        end
+        else begin
+          let upper = float_of_int (1 + Rng.int rng 4) in
+          witness.(j) <- Rng.float rng upper;
+          Lp.add_var ~upper ~obj lp
+        end)
+  in
+  for _ = 1 to m do
+    let terms = ref [] in
+    Array.iter
+      (fun v ->
+        if Rng.int rng 3 = 0 then begin
+          let a = corpus_coefs.(Rng.int rng (Array.length corpus_coefs)) in
+          terms := (a, v) :: !terms;
+          (* a duplicate pair that cancels exactly *)
+          if Rng.int rng 8 = 0 then terms := (-.a, v) :: (a, v) :: !terms
+        end)
+      vars;
+    if !terms = [] then terms := [ (1., vars.(Rng.int rng n)) ];
+    let lhs = List.fold_left (fun acc (a, v) -> acc +. (a *. witness.(v))) 0. !terms in
+    match Rng.int rng 3 with
+    | 0 -> Lp.add_row lp !terms Lp.Le (lhs +. Rng.float rng 2.)
+    | 1 -> Lp.add_row lp !terms Lp.Ge (lhs -. Rng.float rng 2.)
+    | _ -> Lp.add_row lp !terms Lp.Eq lhs
+  done;
+  (lp, vars, rng)
+
+let corpus_record tag (result, _, (info : Lp.info)) =
+  let cls, obj, values =
+    match result with
+    | Lp.Optimal { objective; values } -> ("opt", objective, values)
+    | Lp.Feasible { objective; values } -> ("feas", objective, values)
+    | Lp.Infeasible -> ("inf", 0., [||])
+    | Lp.Unbounded -> ("unb", 0., [||])
+    | Lp.Iter_limit -> ("iter", 0., [||])
+    | Lp.Numerical _ -> ("num", 0., [||])
+  in
+  let bits = Buffer.create 64 in
+  Array.iter (fun x -> Buffer.add_string bits (Int64.to_string (Int64.bits_of_float x))) values;
+  Printf.sprintf "%s %s %Ld %d %d %b %b %s" tag cls (Int64.bits_of_float obj) info.primal_pivots
+    info.dual_pivots info.warm info.fell_back
+    (Digest.to_hex (Digest.string (Buffer.contents bits)))
+
+let corpus_records seed =
+  let lp, vars, rng = corpus_model seed in
+  let ((result, basis, _) as cold) = Lp.solve_b lp in
+  let cold_rec = corpus_record "cold" cold in
+  match result with
+  | Lp.Optimal { values; _ } ->
+    let frac =
+      Array.fold_left
+        (fun acc v ->
+          if acc < 0 && abs_float (values.(v) -. Float.round values.(v)) > 1e-6 then v else acc)
+        (-1) vars
+    in
+    let v = if frac >= 0 then frac else vars.(0) in
+    let x = if Rng.bool rng then floor values.(v) else ceil values.(v) in
+    let fixed = corpus_record "fix" (Lp.solve_b ~fix:[ (v, x) ] ?warm:basis lp) in
+    (* a cut through the optimum; an appended equality row cannot extend
+       the basis, so one cut in six makes the warm solve fall back *)
+    let support = Array.to_list (Array.map (fun v -> (1., v)) vars) in
+    let total = List.fold_left (fun acc (_, v) -> acc +. values.(v)) 0. support in
+    Lp.add_row lp support (if Rng.int rng 6 = 0 then Lp.Eq else Lp.Le) (total -. 0.5);
+    let cut = corpus_record "cut" (Lp.solve_b ?warm:basis lp) in
+    [ cold_rec; fixed; cut ]
+  | _ -> [ cold_rec ]
+
+let corpus () = List.concat_map corpus_records (List.init corpus_size Fun.id)
+
+(* Recorded at the commit before row-wise pricing, the flat eta file and
+   single-copy results: any changed pivot, objective bit or value bit
+   shows up here. *)
+let test_corpus_pinned () =
+  let recs = corpus () in
+  let total f = List.fold_left (fun acc r -> acc + f (String.split_on_char ' ' r)) 0 recs in
+  let field k l = int_of_string (List.nth l k) in
+  let flag k l = if List.nth l k = "true" then 1 else 0 in
+  check Alcotest.int "records" 600 (List.length recs);
+  check Alcotest.int "primal pivots" 5656 (total (field 3));
+  check Alcotest.int "dual pivots" 425 (total (field 4));
+  check Alcotest.int "warm solves" 316 (total (flag 5));
+  check Alcotest.int "fallbacks" 36 (total (flag 6));
+  check Alcotest.string "digest" "7fcbda88b3cc5fd45ea440bcf2ff62e5"
+    (Digest.to_hex (Digest.string (String.concat "\n" recs)))
+
+(* The column-wise dot product the simplex priced with before row-wise
+   pricing: each column's entries in row order. *)
+let row_dot (c : Simplex.col) v =
+  let acc = ref 0. in
+  Array.iteri (fun p i -> acc := !acc +. (v.(i) *. c.Simplex.v.(p))) c.Simplex.idx;
+  !acc
+
+(* Random sparse columns and vectors over values that make exact
+   cancellations, with explicit zeros and negative zeros in both. *)
+let price_prop =
+  QCheck.Test.make ~name:"row-wise pricing = row_dot, bit for bit" ~count:1000 QCheck.int
+    (fun seed ->
+      let rng = Rng.create ~seed:(abs seed) in
+      let m = 1 + Rng.int rng 10 in
+      let n = 1 + Rng.int rng 12 in
+      let values = [| 1.; -1.; 2.; -2.; 0.5; 0.; -0.; 3.; 1e-300; -1e-300 |] in
+      let pick () = values.(Rng.int rng (Array.length values)) in
+      let cols =
+        Array.init n (fun _ ->
+            let idx = Array.of_list (List.filter (fun _ -> Rng.int rng 2 = 0) (List.init m Fun.id)) in
+            { Simplex.idx; v = Array.map (fun _ -> pick ()) idx })
+      in
+      let v = Array.init m (fun _ -> if Rng.int rng 3 = 0 then 0. else pick ()) in
+      let priced = Simplex.price_all (Simplex.model { Simplex.m; n; cols; b = Array.make m 0. }) v in
+      let bits = Int64.bits_of_float in
+      Array.length priced = n
+      && Array.for_all2 (fun c a -> bits a = bits (row_dot c v)) cols priced)
+
+(* Every malformed input raises [Invalid_argument], on a second solve of
+   the same problem too: structure is checked once per model, bounds on
+   every solve. *)
+let test_solve_validation () =
+  let good = { Simplex.idx = [| 0; 1 |]; v = [| 1.; 1. |] } in
+  let problem cols = { Simplex.m = 2; n = Array.length cols; cols; b = [| 1.; 1. |] } in
+  let raises what f =
+    for _ = 1 to 2 do
+      match f () with
+      | _ -> Alcotest.failf "%s: no exception" what
+      | exception Invalid_argument _ -> ()
+    done
+  in
+  let solve ?(lower = [| 0.; 0. |]) ?(upper = [| 1.; 1. |]) ?(c = [| 1.; 1. |]) md =
+    Simplex.solve md ~lower ~upper ~c
+  in
+  raises "ragged column" (fun () ->
+      Simplex.model (problem [| good; { Simplex.idx = [| 0; 1 |]; v = [| 1. |] } |]));
+  raises "row index out of range" (fun () ->
+      Simplex.model (problem [| good; { Simplex.idx = [| 0; 2 |]; v = [| 1.; 1. |] } |]));
+  raises "row index negative" (fun () ->
+      Simplex.model (problem [| good; { Simplex.idx = [| -1 |]; v = [| 1. |] } |]));
+  raises "column count" (fun () -> Simplex.model { (problem [| good; good |]) with n = 3 });
+  let md = Simplex.model (problem [| good; { Simplex.idx = [| 1 |]; v = [| 1. |] } |]) in
+  raises "infinite lower bound" (fun () -> solve ~lower:[| neg_infinity; 0. |] md);
+  raises "crossed bounds" (fun () -> solve ~lower:[| 0.; 2. |] md);
+  raises "dimension mismatch" (fun () -> solve ~c:[| 1. |] md);
+  raises "bounds length" (fun () -> solve ~upper:[| 1.; 1.; 1. |] md);
+  (* the same model still solves *)
+  match solve md with
+  | Simplex.Optimal { objective; _ }, _, _ -> check feps "objective" 1. objective
+  | _ -> Alcotest.fail "well-formed model did not solve"
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   (* exact-value assertions require the fault-free pipeline *)
@@ -389,8 +561,11 @@ let () =
           Alcotest.test_case "set_obj" `Quick test_set_obj;
           Alcotest.test_case "bad inputs" `Quick test_bad_inputs;
           Alcotest.test_case "factorize cases" `Quick test_factorize_cases;
+          Alcotest.test_case "solve validation" `Quick test_solve_validation;
+          Alcotest.test_case "LP corpus pinned" `Quick test_corpus_pinned;
           qt random_lp_prop;
           qt warm_cold_prop;
           qt factorize_prop;
+          qt price_prop;
         ] );
     ]
