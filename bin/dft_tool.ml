@@ -158,7 +158,7 @@ let testgen_cmd =
       let aug = Pathgen.apply chip config in
       let cuts = Cutgen.generate aug ~source:config.Pathgen.src_port ~meter:config.Pathgen.dst_port in
       let suite = Vectors.of_config config cuts in
-      let suite = if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite in
+      let suite, report = Mf_testgen.Repair.validate aug suite in
       let ports = Chip.ports chip in
       Format.printf "source port: %s  meter port: %s@."
         ports.(config.Pathgen.src_port).Chip.port_name
@@ -169,7 +169,6 @@ let testgen_cmd =
         (List.length suite.Vectors.cut_valves)
         (Vectors.count suite);
       Format.printf "%s@." (Chip.render aug);
-      let report = Vectors.validate aug suite in
       Format.printf "fault simulation: %a@." Mf_faults.Coverage.pp report;
       prof_dump ();
       if not (Mf_faults.Coverage.complete report) then exit 2
@@ -433,10 +432,7 @@ let repair_cmd =
                 ~meter:config.Pathgen.dst_port
             in
             let suite = Vectors.of_config config cuts in
-            let suite =
-              if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite
-            in
-            Ok (aug, suite))
+            Ok (aug, fst (Mf_testgen.Repair.validate aug suite)))
     in
     match baseline with
     | Error f ->

@@ -69,15 +69,13 @@ let () =
       Cutgen.generate aug ~source:config.Pathgen.src_port ~meter:config.Pathgen.dst_port
     in
     let suite = Vectors.of_config config cuts in
-    let suite =
-      if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite
-    in
+    let suite, report = Mf_testgen.Repair.validate aug suite in
     Format.printf "@.After DFT (%d new valves):@.%s@."
       (List.length config.Pathgen.added_edges)
       (Chip.render aug);
     Format.printf "single-source single-meter suite: %d vectors, complete=%b@."
       (Vectors.count suite)
-      (Vectors.is_valid aug suite);
+      (Mf_faults.Coverage.complete report);
     (match Scheduler.run aug app with
      | Ok s ->
        Format.printf "Assay on the augmented chip (free control): %a@." Mf_sched.Schedule.pp s

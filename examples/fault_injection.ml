@@ -24,7 +24,7 @@ let () =
     Cutgen.generate aug ~source:config.Pathgen.src_port ~meter:config.Pathgen.dst_port
   in
   let suite = Vectors.of_config config cuts in
-  let suite = if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite in
+  let suite, _ = Mf_testgen.Repair.validate aug suite in
   let vectors = Vectors.vectors aug suite in
   Format.printf "Chip: %a@.Suite: %d vectors@.@." Chip.pp aug (List.length vectors);
 

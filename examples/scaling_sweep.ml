@@ -41,7 +41,7 @@ let () =
           Cutgen.generate aug ~source:config.Pathgen.src_port ~meter:config.Pathgen.dst_port
         in
         let suite = Vectors.of_config config cuts in
-        let suite = if Vectors.is_valid aug suite then suite else Mf_testgen.Repair.run aug suite in
+        let suite, _ = Mf_testgen.Repair.validate aug suite in
         let layout = Control.synthesize aug in
         let test_time = Testtime.total aug layout (Vectors.vectors aug suite) in
         let exec = Scheduler.makespan chip assay in

@@ -78,34 +78,6 @@ type checkpoint = {
   stop_after : int option;
 }
 
-(* A sharing scheme is testable if the configuration's suite still covers
-   every fault on the re-wired chip, or can be repaired to (the paper
-   regenerates vectors per sharing scheme; {!Mf_testgen.Repair} adds the
-   vectors a scheme needs).  [Untestable n] carries the number of faults
-   that still escape, so the PSO can climb towards validity. *)
-type verdict =
-  | Testable of Chip.t * Vectors.t
-  | Untestable of int
-
-let testable_suite (entry : Pool.entry) scheme =
-  let shared = Sharing.apply entry.Pool.augmented scheme in
-  let suite = entry.Pool.suite in
-  let report = Vectors.validate shared suite in
-  if Mf_faults.Coverage.complete report then Testable (shared, suite)
-  else begin
-    let repaired = Mf_testgen.Repair.run ~report shared suite in
-    (* repair only appends vectors: none appended, nothing to re-measure *)
-    let report =
-      if Vectors.count repaired = Vectors.count suite then report
-      else Vectors.validate shared repaired
-    in
-    if Mf_faults.Coverage.complete report then Testable (shared, repaired)
-    else
-      Untestable
-        (report.Mf_faults.Coverage.total_faults - report.Mf_faults.Coverage.detected
-        + report.Mf_faults.Coverage.malformed)
-  end
-
 (* Any fitness at or above this is an invalid scheme; below it, the fitness
    is the application makespan in seconds. *)
 let invalid_threshold = 1e5
@@ -118,14 +90,23 @@ let invalid_threshold = 1e5
 
    [tbl] holds the fitness values (it is what checkpoints persist and
    [worst_cached_valid] scans); [preps] caches the per-configuration
-   {!Prep.t} topology snapshot, purely to save work. *)
+   {!Prep.t} topology snapshot and [routes] the per-configuration repair
+   routes ({!Mf_testgen.Repair.routes}, keyed by [via]), purely to save
+   work. *)
 type cache = {
   tbl : ((int list * Sharing.t), float) Hashtbl.t;
   preps : (int list, Prep.t) Hashtbl.t;
+  routes : (int list * int, int list list) Hashtbl.t;
   lock : Mutex.t;
 }
 
-let cache_create () = { tbl = Hashtbl.create 64; preps = Hashtbl.create 8; lock = Mutex.create () }
+let cache_create () =
+  {
+    tbl = Hashtbl.create 64;
+    preps = Hashtbl.create 8;
+    routes = Hashtbl.create 64;
+    lock = Mutex.create ();
+  }
 
 let cache_find cache key =
   Mutex.lock cache.lock;
@@ -152,21 +133,52 @@ let cache_dump cache =
 
 let cache_restore cache items = Array.iter (fun (k, v) -> Hashtbl.replace cache.tbl k v) items
 
-let prep_of cache (entry : Pool.entry) =
-  let key = entry.Pool.config.Pathgen.added_edges in
+(* Built outside the lock: racing workers build identical values and
+   [replace] keeps one. *)
+let memo cache tbl key build =
   Mutex.lock cache.lock;
-  let hit = Hashtbl.find_opt cache.preps key in
+  let hit = Hashtbl.find_opt tbl key in
   Mutex.unlock cache.lock;
   match hit with
-  | Some p -> p
+  | Some v -> v
   | None ->
-    (* built outside the lock: racing workers build identical values and
-       [replace] keeps one *)
-    let p = Prep.of_chip entry.Pool.augmented in
+    let v = build () in
     Mutex.lock cache.lock;
-    Hashtbl.replace cache.preps key p;
+    Hashtbl.replace tbl key v;
     Mutex.unlock cache.lock;
-    p
+    v
+
+let prep_of cache (entry : Pool.entry) =
+  memo cache cache.preps entry.Pool.config.Pathgen.added_edges (fun () ->
+      Prep.of_chip entry.Pool.augmented)
+
+(* A sharing scheme is testable if the configuration's suite still covers
+   every fault on the re-wired chip, or can be repaired to (the paper
+   regenerates vectors per sharing scheme; {!Mf_testgen.Repair} adds the
+   vectors a scheme needs).  [Untestable n] carries the number of faults
+   that still escape, so the PSO can climb towards validity.  Sharing
+   rewires control lines only, so the entry's repair routes serve every
+   scheme: they come from the memo, and only the verdicts are simulated. *)
+type verdict =
+  | Testable of Chip.t * Vectors.t
+  | Untestable of int
+
+let testable_suite cache (entry : Pool.entry) scheme =
+  let shared = Sharing.apply entry.Pool.augmented scheme in
+  let suite = entry.Pool.suite in
+  let ports = Chip.ports entry.Pool.augmented in
+  let s = ports.(suite.Vectors.source_port).Chip.node
+  and t = ports.(suite.Vectors.meter_port).Chip.node in
+  let routes via =
+    memo cache cache.routes (entry.Pool.config.Pathgen.added_edges, via) (fun () ->
+        Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via)
+  in
+  let suite, report = Mf_testgen.Repair.validate ~routes shared suite in
+  if Mf_faults.Coverage.complete report then Testable (shared, suite)
+  else
+    Untestable
+      (report.Mf_faults.Coverage.total_faults - report.Mf_faults.Coverage.detected
+      + report.Mf_faults.Coverage.malformed)
 
 (* On-disk snapshot of a paused run.  Everything the continuation depends
    on is stored by value: the pool (rebuilding it under chaos or a changed
@@ -222,9 +234,10 @@ let sharing_fitness cache params app (entry : Pool.entry) scheme =
   | Some fit -> fit
   | None ->
     let fit =
-      match testable_suite entry scheme with
+      match Mf_util.Prof.time "codesign.verdict" (fun () -> testable_suite cache entry scheme) with
       | Untestable misses -> (100. *. invalid_threshold) +. (1000. *. float_of_int misses)
       | Testable (shared, _suite) ->
+        Mf_util.Prof.time "codesign.schedule" @@ fun () ->
         let prep = Prep.for_sharing (prep_of cache entry) shared in
         (match Scheduler.makespan ~options:params.scheduler ~prep shared app with
          | Some makespan -> float_of_int makespan
@@ -239,7 +252,7 @@ let sharing_fitness cache params app (entry : Pool.entry) scheme =
    the swarm in a mostly-valid region instead of a ~0% one.  Cached on the
    pool entry: the sets depend only on the chip, so every application
    evaluated against this configuration reuses them. *)
-let allowed_partners (entry : Pool.entry) =
+let allowed_partners cache (entry : Pool.entry) =
   match entry.Pool.partners with
   | Some allowed -> allowed
   | None ->
@@ -255,7 +268,7 @@ let allowed_partners (entry : Pool.entry) =
           let feasible =
             List.init n_orig Fun.id
             |> List.filter (fun o ->
-                match testable_suite entry [ (d, o) ] with
+                match testable_suite cache entry [ (d, o) ] with
                 | Testable _ -> true
                 | Untestable _ -> false)
           in
@@ -350,7 +363,7 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
       let prepared = Array.make n None in
       for i = 0 to n - 1 do
         let entry = Pool.decode pool positions.(i) in
-        let allowed = allowed_partners entry in
+        let allowed = allowed_partners cache entry in
         prepared.(i) <- Some (entry, allowed, Rng.split rng)
       done;
       let evaluated =
@@ -467,20 +480,20 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
      | Some (entry, scheme, best_fit) ->
        let augmented = entry.Pool.augmented in
        let scheme, shared, suite, sharing_fallback =
-         match testable_suite entry scheme with
+         match testable_suite cache entry scheme with
          | Testable (shared, suite) -> (scheme, shared, suite, false)
          | Untestable _ ->
            (* degrade to the unshared DFT architecture: the empty scheme is
               testable by pool construction, so the shipped suite is always
               valid on the shipped chip *)
-           (match testable_suite entry [] with
+           (match testable_suite cache entry [] with
             | Testable (shared, suite) -> ([], shared, suite, true)
             | Untestable _ -> ([], augmented, entry.Pool.suite, true))
        in
        (* Table 1 baseline: the first valid random sharing, no PSO — random
           search over the same feasible partner sets the swarm uses *)
        let no_pso_rng = Rng.create ~seed:(params.seed + 1) in
-       let allowed = allowed_partners entry in
+       let allowed = allowed_partners cache entry in
        let rec first_valid attempts =
          if attempts = 0 then None
          else begin

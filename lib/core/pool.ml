@@ -34,15 +34,7 @@ let materialise chip (config : Pathgen.config) =
   let augmented = Pathgen.apply chip config in
   let cuts = Cutgen.generate augmented ~source:config.src_port ~meter:config.dst_port in
   let suite = Vectors.of_config config cuts in
-  let report = Vectors.validate augmented suite in
-  let suite, report =
-    if Mf_faults.Coverage.complete report then (suite, report)
-    else
-      let repaired = Mf_testgen.Repair.run ~report augmented suite in
-      (* repair only appends vectors: none appended, nothing to re-measure *)
-      if Vectors.count repaired = Vectors.count suite then (repaired, report)
-      else (repaired, Vectors.validate augmented repaired)
-  in
+  let suite, report = Mf_testgen.Repair.validate augmented suite in
   if Mf_faults.Coverage.complete report then Ok { config; augmented; suite; partners = None }
   else
     Error

@@ -17,22 +17,13 @@ let ratio r = if r.total_faults = 0 then 1. else float_of_int r.detected /. floa
 (* Vector-major: each vector is prepared once (one fault-free simulation)
    and asked only about the faults no earlier vector detected.  A fault's
    verdict is whether any vector detects it, so the order changes no
-   report. *)
-let measure ?(include_leaks = false) ?present chip vectors =
-  Mf_util.Prof.time "faults.measure" @@ fun () ->
-  let faults = if include_leaks then Fault.all_with_leaks chip else Fault.all chip in
-  let faults =
-    (* faults already present on the chip are the simulation baseline, not
-       test targets: detection is measured over the remaining universe *)
-    match present with
-    | None -> faults
-    | Some ctx ->
-      let ctx_faults = Pressure.context_faults ctx in
-      List.filter (fun f -> not (List.exists (Fault.equal f) ctx_faults)) faults
-  in
+   report.  Every undetected list keeps the order [faults] gives it;
+   [detected] and [malformed] start at the counts of vectors already
+   simulated. *)
+let simulate ?present chip ~total ~detected ~malformed faults vectors =
   let faults = Array.of_list faults in
   let found = Array.make (Array.length faults) false in
-  let malformed = ref 0 in
+  let malformed = ref malformed in
   let decided = ref 0 and resimulated = ref 0 in
   List.iter
     (fun v ->
@@ -55,13 +46,39 @@ let measure ?(include_leaks = false) ?present chip vectors =
     |> List.filter_map pick
   in
   {
-    total_faults = Array.length faults;
-    detected = Array.fold_left (fun n hit -> if hit then n + 1 else n) 0 found;
+    total_faults = total;
+    detected = Array.fold_left (fun n hit -> if hit then n + 1 else n) detected found;
     sa0_undetected = undetected (function Fault.Stuck_at_0 e -> Some e | _ -> None);
     sa1_undetected = undetected (function Fault.Stuck_at_1 v -> Some v | _ -> None);
     leak_undetected = undetected (function Fault.Leak v -> Some v | _ -> None);
     malformed = !malformed;
   }
+
+let measure ?(include_leaks = false) ?present chip vectors =
+  Mf_util.Prof.time "faults.measure" @@ fun () ->
+  let faults = if include_leaks then Fault.all_with_leaks chip else Fault.all chip in
+  let faults =
+    (* faults already present on the chip are the simulation baseline, not
+       test targets: detection is measured over the remaining universe *)
+    match present with
+    | None -> faults
+    | Some ctx ->
+      let ctx_faults = Pressure.context_faults ctx in
+      List.filter (fun f -> not (List.exists (Fault.equal f) ctx_faults)) faults
+  in
+  simulate ?present chip ~total:(List.length faults) ~detected:0 ~malformed:0 faults vectors
+
+(* The faults [r] leaves undetected are the only verdicts [vectors] can
+   still change. *)
+let extend ?present chip r vectors =
+  Mf_util.Prof.time "faults.extend" @@ fun () ->
+  let faults =
+    List.map (fun e -> Fault.Stuck_at_0 e) r.sa0_undetected
+    @ List.map (fun v -> Fault.Stuck_at_1 v) r.sa1_undetected
+    @ List.map (fun v -> Fault.Leak v) r.leak_undetected
+  in
+  simulate ?present chip ~total:r.total_faults ~detected:r.detected ~malformed:r.malformed
+    faults vectors
 
 let pp ppf r =
   Fmt.pf ppf "coverage %d/%d%s%s%s%s" r.detected r.total_faults

@@ -26,4 +26,12 @@ val measure :
     faults are treated as physically there) and the universe excludes the
     context faults themselves — the repair engine's re-validation view. *)
 
+val extend :
+  ?present:Pressure.context -> Mf_arch.Chip.t -> report -> Vector.t list -> report
+(** [extend chip (measure chip vs) ws] equals [measure chip (vs @ ws)],
+    field for field and in list order, under the same [?include_leaks] and
+    [?present] as the first report.  Only [ws] is simulated, and only
+    against the faults the first report lists as undetected: the re-measure
+    after a repair that appended [ws]. *)
+
 val pp : Format.formatter -> report -> unit

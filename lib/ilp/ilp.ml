@@ -145,17 +145,21 @@ type cache_entry = {
 
 let cache_cap = 1024
 
+(* Binary, 9 bytes per fixing: the variable as 8 bytes and a tag byte for
+   0 or 1 (branching fixes binaries at exactly those); any other value
+   follows tag 2 as its 8 bit-pattern bytes. *)
 let cache_key fixings =
   let sorted = List.sort (fun (a, _) (b, _) -> compare (a : int) b) fixings in
-  let key = Buffer.create 64 in
-  List.iteri
-    (fun i (v, x) ->
-      if i > 0 then Buffer.add_char key ';';
-      Buffer.add_string key (string_of_int v);
-      Buffer.add_char key ':';
-      (* branching fixes binaries at exactly 0 or 1 *)
-      Buffer.add_string key
-        (if x = 0. then "0" else if x = 1. then "1" else Printf.sprintf "%.0f" x))
+  let key = Buffer.create (9 * List.length fixings) in
+  List.iter
+    (fun (v, x) ->
+      Buffer.add_int64_le key (Int64.of_int v);
+      if x = 0. then Buffer.add_char key '\000'
+      else if x = 1. then Buffer.add_char key '\001'
+      else begin
+        Buffer.add_char key '\002';
+        Buffer.add_int64_le key (Int64.bits_of_float x)
+      end)
     sorted;
   Buffer.contents key
 
@@ -346,7 +350,13 @@ let solve ?(node_limit = 100_000) ?budget ?(lazy_cuts = fun _ -> [])
       Array.iter
         (fun v ->
           let x = values.(v) in
-          let frac = abs_float (x -. Float.round x) in
+          (* |x - round x| without the C call where x rounds to 0 or 1
+             (x - 1 is exact there); -0.5 rounds to -1, same distance *)
+          let frac =
+            if x >= -0.5 && x < 0.5 then abs_float x
+            else if x >= 0.5 && x < 1.5 then abs_float (x -. 1.)
+            else abs_float (x -. Float.round x)
+          in
           if frac > int_tol then begin
             let prio = branch_priority v in
             if prio < !best_prio || (prio = !best_prio && frac > !best_frac) then begin

@@ -84,14 +84,18 @@ let bridge_path_through chip ?present ~s ~t ~via ~weight () =
     match try_orientation (a, b) with Some p -> Some p | None -> try_orientation (b, a)
   end
 
-let candidate_paths chip ?present ~s ~t ~via () =
+(* The six detour attempts, in order; attempt [i] draws its noise only
+   when forced, so a consumer that stops early never draws the rest.  The
+   rng is created per traversal, so every traversal yields one sequence. *)
+let candidate_paths chip ?present ~s ~t ~via () : int list Seq.t =
+ fun () ->
   let g = Grid.graph (Chip.grid chip) in
   let ne = Graph.n_edges g in
   let rng = Rng.create ~seed:(31 + via) in
   (* riding along always-conducting edges is free of masking risk (they are
      live either way), so bias the detour search toward them *)
   let discount f = if always_conducting chip present f then 0.125 else 1. in
-  List.filter_map
+  Seq.filter_map
     (fun attempt ->
       let weight =
         if attempt = 0 then discount
@@ -101,7 +105,7 @@ let candidate_paths chip ?present ~s ~t ~via () =
         end
       in
       bridge_path_through chip ?present ~s ~t ~via ~weight ())
-    (List.init 6 Fun.id)
+    (Seq.init 6 Fun.id) ()
 
 let dedup lists =
   let rec go seen = function
@@ -127,64 +131,90 @@ let exact_route chip ?present ~s ~t ~via () =
   | Mf_graph.Disjoint.Route p -> [ p ]
   | Mf_graph.Disjoint.No_route | Mf_graph.Disjoint.Capped -> []
 
-let candidates_sa0 ?present chip ~s ~t edge =
-  let accept path =
-    let p = Pressure.prepare ?present chip (Vector.of_path chip ~source:s ~meters:[ t ] path) in
-    Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_0 edge)
-  in
-  dedup
-    (List.filter accept
-       (candidate_paths chip ?present ~s ~t ~via:edge ()
-       @ exact_route chip ?present ~s ~t ~via:edge ()))
+(* Every route a repair tries through [via], heuristic detours first; the
+   exact search runs only when a consumer gets past them. *)
+let route_seq chip ?present ~s ~t ~via () =
+  Seq.append
+    (candidate_paths chip ?present ~s ~t ~via ())
+    (fun () -> List.to_seq (exact_route chip ?present ~s ~t ~via ()) ())
 
-let repair_sa0 ?present chip ~s ~t edge =
-  match candidates_sa0 ?present chip ~s ~t edge with [] -> None | p :: _ -> Some p
+let routes chip ~s ~t via = List.of_seq (route_seq chip ~s ~t ~via ())
+
+let tried ?present ?routes chip ~s ~t via =
+  match (present, routes) with
+  | None, Some memo -> List.to_seq (memo via)
+  | Some _, Some _ -> invalid_arg "Repair: ?routes holds fault-free routes; drop it with ?present"
+  | _, None -> route_seq chip ?present ~s ~t ~via ()
+
+let confirms_sa0 ?present chip ~s ~t edge path =
+  let p = Pressure.prepare ?present chip (Vector.of_path chip ~source:s ~meters:[ t ] path) in
+  Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_0 edge)
+
+let candidates_sa0 ?present chip ~s ~t edge =
+  dedup
+    (List.of_seq
+       (Seq.filter (confirms_sa0 ?present chip ~s ~t edge) (tried ?present chip ~s ~t edge)))
+
+let repair_sa0 ?present ?routes chip ~s ~t edge =
+  Seq.find (confirms_sa0 ?present chip ~s ~t edge) (tried ?present ?routes chip ~s ~t edge)
 
 (* Worst-case stuck-at-1 vector (Sec. 3): close every valve except those on
    one leak path through the defective valve, so pressure at the meter can
    only mean that [v] failed to close. *)
+let confirmed_cut ?present chip ~s ~t valve_id path =
+  let open_valves =
+    List.filter_map
+      (fun f ->
+        match Chip.valve_on chip f with
+        | Some (w : Chip.valve) when w.valve_id <> valve_id -> Some w.valve_id
+        | Some _ | None -> None)
+      path
+  in
+  let cut =
+    List.init (Chip.n_valves chip) Fun.id |> List.filter (fun w -> not (List.mem w open_valves))
+  in
+  let p = Pressure.prepare ?present chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut) in
+  if Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_1 valve_id)
+  then Some cut
+  else None
+
 let candidates_sa1 ?present chip ~s ~t valve_id =
-  let v = (Chip.valves chip).(valve_id) in
-  let cut_of path =
-    let open_valves =
-      List.filter_map
-        (fun f ->
-          match Chip.valve_on chip f with
-          | Some (w : Chip.valve) when w.valve_id <> valve_id -> Some w.valve_id
-          | Some _ | None -> None)
-        path
-    in
-    let cut =
-      List.init (Chip.n_valves chip) Fun.id
-      |> List.filter (fun w -> not (List.mem w open_valves))
-    in
-    let p = Pressure.prepare ?present chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut) in
-    if Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_1 valve_id)
-    then Some cut
-    else None
-  in
+  let via = (Chip.valves chip).(valve_id).edge in
   dedup
-    (List.filter_map cut_of
-       (candidate_paths chip ?present ~s ~t ~via:v.edge ()
-       @ exact_route chip ?present ~s ~t ~via:v.edge ()))
+    (List.of_seq
+       (Seq.filter_map (confirmed_cut ?present chip ~s ~t valve_id) (tried ?present chip ~s ~t via)))
 
-let repair_sa1 ?present chip ~s ~t valve_id =
-  match candidates_sa1 ?present chip ~s ~t valve_id with [] -> None | c :: _ -> Some c
+let repair_sa1 ?present ?routes chip ~s ~t valve_id =
+  let via = (Chip.valves chip).(valve_id).edge in
+  Seq.find_map (confirmed_cut ?present chip ~s ~t valve_id) (tried ?present ?routes chip ~s ~t via)
 
-let run ?present ?report chip (suite : Vectors.t) =
-  let report =
-    match report with Some r -> r | None -> Vectors.validate ?present chip suite
-  in
+(* The vectors [run] appends, as a suite of their own. *)
+let additions ?present ?routes chip (suite : Vectors.t) (report : Mf_faults.Coverage.report) =
+  Mf_util.Prof.time "testgen.repair" @@ fun () ->
   let ports = Chip.ports chip in
   let s = ports.(suite.source_port).node and t = ports.(suite.meter_port).node in
-  let extra_paths =
-    List.filter_map (fun e -> repair_sa0 ?present chip ~s ~t e) report.sa0_undetected
-  in
-  let extra_cuts =
-    List.filter_map (fun v -> repair_sa1 ?present chip ~s ~t v) report.sa1_undetected
-  in
   {
     suite with
-    Vectors.path_edges = suite.Vectors.path_edges @ extra_paths;
-    cut_valves = suite.Vectors.cut_valves @ extra_cuts;
+    Vectors.path_edges =
+      List.filter_map (fun e -> repair_sa0 ?present ?routes chip ~s ~t e) report.sa0_undetected;
+    cut_valves =
+      List.filter_map (fun v -> repair_sa1 ?present ?routes chip ~s ~t v) report.sa1_undetected;
   }
+
+let append (suite : Vectors.t) (extra : Vectors.t) =
+  {
+    suite with
+    Vectors.path_edges = suite.path_edges @ extra.path_edges;
+    cut_valves = suite.cut_valves @ extra.cut_valves;
+  }
+
+let run ?present chip suite =
+  append suite (additions ?present chip suite (Vectors.validate ?present chip suite))
+
+let validate ?present ?routes chip suite =
+  let report = Vectors.validate ?present chip suite in
+  if Mf_faults.Coverage.complete report then (suite, report)
+  else begin
+    let extra = additions ?present ?routes chip suite report in
+    (append suite extra, Mf_faults.Coverage.extend ?present chip report (Vectors.vectors chip extra))
+  end

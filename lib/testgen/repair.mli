@@ -32,21 +32,42 @@ val candidates_sa1 :
 (** Same for stuck-at-1 at a valve id: every distinct confirmed cut
     (valve-id lists). *)
 
+val routes : Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
+(** [routes chip ~s ~t via] is every route from [s] to [t] through channel
+    edge [via] that repair tries on the fault-free chip, in the order it
+    tries them.  It depends on the chip's channels and valve placement, the
+    terminals and [via], never on control wiring: every sharing scheme of
+    one augmented chip has the same routes.  Callers that repair many
+    schemes memoise it per [via] and pass the memo as [?routes]. *)
+
 val repair_sa0 :
   ?present:Mf_faults.Pressure.context ->
+  ?routes:(int -> int list list) ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
-(** First confirmed candidate of {!candidates_sa0}, if any. *)
+(** First confirmed candidate of {!candidates_sa0}, if any; no later
+    candidate is built or simulated.  [?routes] supplies {!routes} for
+    these terminals; it is the fault-free chip's, so it cannot go with
+    [?present] ([Invalid_argument]). *)
 
 val repair_sa1 :
   ?present:Mf_faults.Pressure.context ->
+  ?routes:(int -> int list list) ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
-(** First confirmed candidate of {!candidates_sa1}, if any. *)
+(** First confirmed candidate of {!candidates_sa1}, if any, with
+    [?routes] as in {!repair_sa0}. *)
 
 val run :
-  ?present:Mf_faults.Pressure.context -> ?report:Mf_faults.Coverage.report ->
-  Mf_arch.Chip.t -> Vectors.t -> Vectors.t
+  ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> Vectors.t -> Vectors.t
 (** [run chip suite] returns the suite extended with repair vectors.  The
     result is not guaranteed complete (genuinely untestable faults remain
-    uncovered); callers re-validate with {!Vectors.validate}.  [?report]
-    is [Vectors.validate ?present chip suite] when the caller already has
-    it, and saves simulating the suite a second time. *)
+    uncovered); {!validate} repairs and reports coverage in one pass. *)
+
+val validate :
+  ?present:Mf_faults.Pressure.context ->
+  ?routes:(int -> int list list) ->
+  Mf_arch.Chip.t -> Vectors.t -> Vectors.t * Mf_faults.Coverage.report
+(** [validate chip suite] validates the suite and, when faults escape,
+    repairs it with {!run} and re-measures only the appended vectors
+    ({!Mf_faults.Coverage.extend}).  It returns the suite (repaired when
+    escapes were found) and the report {!Vectors.validate} gives on it.
+    [?routes] as in {!repair_sa0}. *)

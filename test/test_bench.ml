@@ -8,8 +8,22 @@ module Json = Mf_util.Json
 
 let check = Alcotest.check
 
+(* The baselines sit at the source root: the working directory under
+   [dune exec] from the root, its parent under [dune runtest] (cwd
+   [_build/default/test], where the stanza's deps copy them). *)
+let locate file =
+  let rec up dir =
+    let path = Filename.concat dir file in
+    if Sys.file_exists path then path
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then Alcotest.failf "%s: not found above %s" file (Sys.getcwd ())
+      else up parent
+  in
+  up (Sys.getcwd ())
+
 let committed (scn : B.scenario) =
-  match B.load (Filename.concat ".." scn.B.path) with
+  match B.load (locate scn.B.path) with
   | Ok doc -> doc
   | Error e -> Alcotest.failf "%s: %s" scn.B.path e
 
@@ -53,8 +67,7 @@ let test_round_trip () =
           | Ok back ->
             check Alcotest.bool (scn.B.id ^ " load (save d) = d") true (back = doc);
             (* the committed file is already in the canonical layout *)
-            let committed_path = Filename.concat ".." scn.B.path in
-            let text = In_channel.with_open_text committed_path In_channel.input_all in
+            let text = In_channel.with_open_text (locate scn.B.path) In_channel.input_all in
             check Alcotest.string (scn.B.id ^ " canonical bytes") text (B.to_string doc)))
     B.scenarios
 

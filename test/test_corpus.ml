@@ -34,6 +34,9 @@ module Vector = Mf_faults.Vector
 module Graph = Mf_graph.Graph
 module Traverse = Mf_graph.Traverse
 module Bitset = Mf_util.Bitset
+module Cutgen = Mf_testgen.Cutgen
+module Repair = Mf_testgen.Repair
+module Sharing = Mfdft.Sharing
 
 let env_int name default =
   match Sys.getenv_opt name with
@@ -51,6 +54,7 @@ let greedy_count = max 4 (lint_count / 25)
 let pool_count = max 2 (lint_count / 50)
 let repair_count = max 4 (lint_count / 25)
 let prepared_count = max 10 (lint_count / 4)
+let shortcut_count = max 4 (lint_count / 25)
 
 (* Deterministic case derivation: QCheck supplies a small case index; the
    chip/assay pair is a pure function of (family, MFDFT_CORPUS_SEED, index),
@@ -335,6 +339,105 @@ let prepared_is_exact f index =
          = List.length (List.filter (fun v -> not (Pressure.well_formed ?present chip v)) vectors))
     [ None; random_context chip rng; random_context chip rng ]
 
+(* ------------------------------------------------------------------ *)
+(* P9: the incremental re-measure is the full one — [Coverage.extend] of a
+   prefix's report over the rest of the vectors equals [Coverage.measure]
+   of the whole list, field for field, with and without a fault context
+   and leaks *)
+
+let extend_is_measure f index =
+  let chip, _ = case f index in
+  let rng = Rng.create ~seed:(case_seed (family_salt f) index + 89) in
+  let vectors = random_vectors chip rng @ random_vectors chip rng in
+  let cut = Rng.int rng (List.length vectors + 1) in
+  let prefix = List.filteri (fun i _ -> i < cut) vectors
+  and rest = List.filteri (fun i _ -> i >= cut) vectors in
+  List.for_all
+    (fun present ->
+      List.for_all
+        (fun include_leaks ->
+          let whole = Coverage.measure ~include_leaks ?present chip vectors in
+          let r0 = Coverage.measure ~include_leaks ?present chip prefix in
+          Coverage.extend ?present chip r0 rest = whole
+          || QCheck.Test.fail_reportf "%s: extend after %d of %d vectors <> measure (%a)"
+               (Chip.name chip) cut (List.length vectors) Coverage.pp whole)
+        [ false; true ])
+    [ None; random_context chip rng ]
+
+(* A deployed-shape suite without the pool's ILP: greedy paths, their cuts. *)
+let greedy_suite chip =
+  match Pathgen.generate ~node_limit:0 chip with
+  | Error _ -> None
+  | Ok config ->
+    let aug = Pathgen.apply chip config in
+    let cuts = Cutgen.generate aug ~source:config.Pathgen.src_port ~meter:config.Pathgen.dst_port in
+    Some (aug, Vectors.of_config config cuts)
+
+let terminals aug (suite : Vectors.t) =
+  let ports = Chip.ports aug in
+  (ports.(suite.Vectors.source_port).Chip.node, ports.(suite.Vectors.meter_port).Chip.node)
+
+(* ------------------------------------------------------------------ *)
+(* P10: repair stops at the first confirmed candidate, which is the head
+   of the full candidate list, on the fault-free chip and under a fault
+   context *)
+
+let repair_is_first_candidate f index =
+  let chip, _ = case f index in
+  match greedy_suite chip with
+  | None -> QCheck.assume_fail ()
+  | Some (aug, suite) ->
+    let rng = Rng.create ~seed:(case_seed (family_salt f) index + 61) in
+    let s, t = terminals aug suite in
+    let channels = Array.of_list (Bitset.elements (Chip.channel_edges aug)) in
+    let sample n = List.init (min 4 n) (fun _ -> Rng.int rng n) in
+    let head = function [] -> None | x :: _ -> Some x in
+    List.for_all
+      (fun present ->
+        List.for_all
+          (fun i ->
+            let e = channels.(i) in
+            Repair.repair_sa0 ?present aug ~s ~t e = head (Repair.candidates_sa0 ?present aug ~s ~t e)
+            || QCheck.Test.fail_reportf "%s: repair_sa0 at edge %d" (Chip.name chip) e)
+          (sample (Array.length channels))
+        && List.for_all
+             (fun v ->
+               Repair.repair_sa1 ?present aug ~s ~t v
+               = head (Repair.candidates_sa1 ?present aug ~s ~t v)
+               || QCheck.Test.fail_reportf "%s: repair_sa1 at valve %d" (Chip.name chip) v)
+             (sample (Chip.n_valves aug)))
+      [ None; random_context aug rng ]
+
+(* ------------------------------------------------------------------ *)
+(* P11: sharing-fitness verdicts with the route memo equal verdicts
+   without it — routes memoised on the unshared augmented chip, filled and
+   reused across random sharing schemes, give the repaired suite and
+   report that fresh routes on each rewired chip give *)
+
+let route_memo_is_exact f index =
+  let chip, _ = case f index in
+  match greedy_suite chip with
+  | None -> QCheck.assume_fail ()
+  | Some (aug, suite) ->
+    let rng = Rng.create ~seed:(case_seed (family_salt f) index + 67) in
+    let s, t = terminals aug suite in
+    let memo = Hashtbl.create 16 in
+    let routes via =
+      match Hashtbl.find_opt memo via with
+      | Some r -> r
+      | None ->
+        let r = Repair.routes aug ~s ~t via in
+        Hashtbl.add memo via r;
+        r
+    in
+    List.for_all
+      (fun scheme ->
+        let shared = Sharing.apply aug scheme in
+        Repair.validate ~routes shared suite = Repair.validate shared suite
+        || QCheck.Test.fail_reportf "%s: verdict under %a differs with the route memo"
+             (Chip.name chip) Sharing.pp scheme)
+      (List.init 4 (fun _ -> Sharing.random rng aug))
+
 let family_suite f =
   let n = f.Families.name in
   ( Printf.sprintf "corpus:%s" n,
@@ -347,6 +450,10 @@ let family_suite f =
       prop ~name:(n ^ " pool jobs=1 = jobs=4") ~count:pool_count f pool_parallel_invariant;
       prop ~name:(n ^ " repair re-certifies") ~count:repair_count f repair_recertifies;
       prop ~name:(n ^ " prepared faults = detects") ~count:prepared_count f prepared_is_exact;
+      prop ~name:(n ^ " extend = measure") ~count:prepared_count f extend_is_measure;
+      prop ~name:(n ^ " repair = first candidate") ~count:shortcut_count f
+        repair_is_first_candidate;
+      prop ~name:(n ^ " route memo = fresh routes") ~count:shortcut_count f route_memo_is_exact;
     ] )
 
 let () =
