@@ -90,13 +90,15 @@ let invalid_threshold = 1e5
 
    [tbl] holds the fitness values (it is what checkpoints persist and
    [worst_cached_valid] scans); [preps] caches the per-configuration
-   {!Prep.t} topology snapshot and [routes] the per-configuration repair
-   routes ({!Mf_testgen.Repair.routes}, keyed by [via]), purely to save
-   work. *)
+   {!Prep.t} topology snapshot, and [routes] and [detections] the
+   per-configuration repair routes ({!Mf_testgen.Repair.routes}, keyed by
+   [via]) and detection sets ({!Mf_faults.Pressure.detect}, keyed by
+   {!Mf_faults.Pressure.detection_key}), purely to save work. *)
 type cache = {
   tbl : ((int list * Sharing.t), float) Hashtbl.t;
   preps : (int list, Prep.t) Hashtbl.t;
   routes : (int list * int, int list list) Hashtbl.t;
+  detections : (int list * string, Mf_faults.Pressure.detection) Hashtbl.t;
   lock : Mutex.t;
 }
 
@@ -105,6 +107,7 @@ let cache_create () =
     tbl = Hashtbl.create 64;
     preps = Hashtbl.create 8;
     routes = Hashtbl.create 64;
+    detections = Hashtbl.create 1024;
     lock = Mutex.create ();
   }
 
@@ -158,7 +161,8 @@ let prep_of cache (entry : Pool.entry) =
    vectors a scheme needs).  [Untestable n] carries the number of faults
    that still escape, so the PSO can climb towards validity.  Sharing
    rewires control lines only, so the entry's repair routes serve every
-   scheme: they come from the memo, and only the verdicts are simulated. *)
+   scheme, and a vector's detection set depends on the scheme only through
+   the valves it closes: both come from the per-entry memo. *)
 type verdict =
   | Testable of Chip.t * Vectors.t
   | Untestable of int
@@ -169,11 +173,25 @@ let testable_suite cache (entry : Pool.entry) scheme =
   let ports = Chip.ports entry.Pool.augmented in
   let s = ports.(suite.Vectors.source_port).Chip.node
   and t = ports.(suite.Vectors.meter_port).Chip.node in
-  let routes via =
-    memo cache cache.routes (entry.Pool.config.Pathgen.added_edges, via) (fun () ->
-        Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via)
+  let added = entry.Pool.config.Pathgen.added_edges in
+  let lookups = ref 0 and misses = ref 0 in
+  let memo_cache =
+    {
+      Mf_testgen.Repair.routes =
+        (fun via ->
+          memo cache cache.routes (added, via) (fun () ->
+              Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via));
+      detect =
+        (fun chip v ->
+          incr lookups;
+          memo cache cache.detections (added, Mf_faults.Pressure.detection_key chip v) (fun () ->
+              incr misses;
+              Mf_faults.Pressure.detect chip v));
+    }
   in
-  let suite, report = Mf_testgen.Repair.validate ~routes shared suite in
+  let suite, report = Mf_testgen.Repair.validate ~cache:memo_cache shared suite in
+  Mf_util.Prof.add_count "faults.memo_hits" (!lookups - !misses);
+  Mf_util.Prof.add_count "faults.memo_misses" !misses;
   if Mf_faults.Coverage.complete report then Testable (shared, suite)
   else
     Untestable
@@ -252,7 +270,7 @@ let sharing_fitness cache params app (entry : Pool.entry) scheme =
    the swarm in a mostly-valid region instead of a ~0% one.  Cached on the
    pool entry: the sets depend only on the chip, so every application
    evaluated against this configuration reuses them. *)
-let allowed_partners cache (entry : Pool.entry) =
+let allowed_partners cache dpool (entry : Pool.entry) =
   match entry.Pool.partners with
   | Some allowed -> allowed
   | None ->
@@ -262,16 +280,23 @@ let allowed_partners cache (entry : Pool.entry) =
       Array.to_list (Chip.valves aug)
       |> List.filter_map (fun (v : Chip.valve) -> if v.is_dft then Some v.valve_id else None)
     in
+    (* every single-pair scheme, checked on the worker domains; the
+       results come back in input order *)
+    let pairs =
+      Array.of_list (List.concat_map (fun d -> List.init n_orig (fun o -> (d, o))) dft_ids)
+    in
+    let ok =
+      Domain_pool.map dpool
+        (fun pair ->
+          match testable_suite cache entry [ pair ] with
+          | Testable _ -> true
+          | Untestable _ -> false)
+        pairs
+    in
     let allowed =
-      List.map
-        (fun d ->
-          let feasible =
-            List.init n_orig Fun.id
-            |> List.filter (fun o ->
-                match testable_suite cache entry [ (d, o) ] with
-                | Testable _ -> true
-                | Untestable _ -> false)
-          in
+      List.mapi
+        (fun i d ->
+          let feasible = List.filter (fun o -> ok.((i * n_orig) + o)) (List.init n_orig Fun.id) in
           let options = if feasible = [] then List.init n_orig Fun.id else feasible in
           (d, Array.of_list options))
         dft_ids
@@ -363,7 +388,7 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
       let prepared = Array.make n None in
       for i = 0 to n - 1 do
         let entry = Pool.decode pool positions.(i) in
-        let allowed = allowed_partners cache entry in
+        let allowed = allowed_partners cache dpool entry in
         prepared.(i) <- Some (entry, allowed, Rng.split rng)
       done;
       let evaluated =
@@ -491,16 +516,22 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
             | Untestable _ -> ([], augmented, entry.Pool.suite, true))
        in
        (* Table 1 baseline: the first valid random sharing, no PSO — random
-          search over the same feasible partner sets the swarm uses *)
+          search over the same feasible partner sets the swarm uses.  The
+          schemes are drawn in order here and evaluated [jobs] at a time;
+          the first valid one in draw order wins, as in a serial search. *)
        let no_pso_rng = Rng.create ~seed:(params.seed + 1) in
-       let allowed = allowed_partners cache entry in
+       let allowed = allowed_partners cache dpool entry in
        let rec first_valid attempts =
          if attempts = 0 then None
          else begin
-           let s = random_constrained no_pso_rng allowed in
-           let fit = sharing_fitness cache params app entry s in
-           if fit < invalid_threshold then Some (int_of_float fit)
-           else first_valid (attempts - 1)
+           let batch =
+             Array.init (min attempts (Domain_pool.jobs dpool)) (fun _ ->
+                 random_constrained no_pso_rng allowed)
+           in
+           let fits = Domain_pool.map dpool (sharing_fitness cache params app entry) batch in
+           match Array.find_opt (fun fit -> fit < invalid_threshold) fits with
+           | Some fit -> Some (int_of_float fit)
+           | None -> first_valid (attempts - Array.length batch)
          end
        in
        (* when random search misses, fall back to the worst valid scheme the
@@ -519,7 +550,10 @@ let run ?(params = default_params) ?pool ?domains ?budget ?checkpoint ?progress 
          (* past the deadline, don't burn 100 more schedule evaluations on a
             baseline: settle for what the cache already holds *)
          if Mf_util.Budget.over budget then worst_cached_valid ()
-         else match first_valid 100 with Some t -> Some t | None -> worst_cached_valid ()
+         else
+           match Mf_util.Prof.time "codesign.baseline" (fun () -> first_valid 100) with
+           | Some t -> Some t
+           | None -> worst_cached_valid ()
        in
        (* Fig. 7 baseline: DFT resources with independent control lines *)
        let exec_dft_unshared =

@@ -217,3 +217,134 @@ let prepared_detects p fault =
     &&
     let a, b = Graph.endpoints g (Chip.valves chip).(w).edge in
     Bitset.mem p.p_dark p.p_comp.(a) || Bitset.mem p.p_dark p.p_comp.(b)
+
+(* ------------------------------------------------------------------ *)
+(* Detection sets.
+
+   Without a fault context the fault-free reach is exactly the source's
+   component of the conducting graph G0, every meter inside it reads
+   pressure, and every meter outside it reads none.  So one pass decides
+   every single fault:
+
+   - stuck-at-0 at edge e changes a reading iff removing e cuts a meter off
+     the source, i.e. iff e is a bridge of the source's component whose far
+     side (the DFS subtree below it) holds a meter;
+   - stuck-at-1 and leaks are decided from the reached and dark marks of
+     the valve's endpoints, as {!prepared_detects} decides them from
+     component labels: "dark" marks every node connected to an unreached
+     meter.
+
+   Bit [e] of [detected] is stuck-at-0 at edge e, bit [ne + w] stuck-at-1
+   at valve w and bit [ne + nv + w] the leak at valve w. *)
+
+type detection = { well_formed : bool; detected : Bitset.t }
+
+let fault_space chip =
+  Graph.n_edges (Grid.graph (Chip.grid chip)) + (2 * Chip.n_valves chip)
+
+let detects_in chip set fault =
+  let ne = Graph.n_edges (Grid.graph (Chip.grid chip)) and nv = Chip.n_valves chip in
+  match fault with
+  | Fault.Stuck_at_0 e -> e >= 0 && e < ne && Bitset.mem set e
+  | Fault.Stuck_at_1 w -> w >= 0 && w < nv && Bitset.mem set (ne + w)
+  | Fault.Leak w -> w >= 0 && w < nv && Bitset.mem set (ne + nv + w)
+
+let detect chip (v : Vector.t) =
+  let g = Grid.graph (Chip.grid chip) in
+  let n = Graph.n_nodes g and ne = Graph.n_edges g and nv = Chip.n_valves chip in
+  let live e = conducts chip ~active_lines:v.active_lines e in
+  let is_meter = Bitset.create n in
+  List.iter (Bitset.add is_meter) v.meters;
+  let detected = Bitset.create (ne + (2 * nv)) in
+  (* iterative Tarjan DFS from the source: [disc] >= 0 marks the reach,
+     [below.(u)] whether u's subtree holds a meter *)
+  let disc = Array.make n (-1) and low = Array.make n 0 and tree_edge = Array.make n (-1) in
+  let below = Array.make n false and pending = Array.make n [] in
+  let stack = Array.make (max 1 n) 0 and sp = ref 0 and clock = ref 0 in
+  let enter u e =
+    disc.(u) <- !clock;
+    low.(u) <- !clock;
+    incr clock;
+    tree_edge.(u) <- e;
+    below.(u) <- Bitset.mem is_meter u;
+    pending.(u) <- Graph.incident g u;
+    stack.(!sp) <- u;
+    incr sp
+  in
+  enter v.source (-1);
+  while !sp > 0 do
+    let u = stack.(!sp - 1) in
+    match pending.(u) with
+    | (e, w) :: rest ->
+      pending.(u) <- rest;
+      if e <> tree_edge.(u) && live e then
+        if disc.(w) < 0 then enter w e else if disc.(w) < low.(u) then low.(u) <- disc.(w)
+    | [] ->
+      decr sp;
+      if !sp > 0 then begin
+        let p = stack.(!sp - 1) in
+        if low.(u) < low.(p) then low.(p) <- low.(u);
+        if below.(u) then begin
+          if low.(u) > disc.(p) then Bitset.add detected tree_edge.(u);
+          below.(p) <- true
+        end
+      end
+  done;
+  let reached u = disc.(u) >= 0 in
+  let dark = Bitset.create n in
+  let queue = Array.make (max 1 n) 0 and tail = ref 0 in
+  List.iter
+    (fun m ->
+      if (not (reached m)) && not (Bitset.mem dark m) then begin
+        Bitset.add dark m;
+        queue.(!tail) <- m;
+        incr tail
+      end)
+    v.meters;
+  let head = ref 0 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    List.iter
+      (fun (e, w) ->
+        if (not (Bitset.mem dark w)) && live e then begin
+          Bitset.add dark w;
+          queue.(!tail) <- w;
+          incr tail
+        end)
+      (Graph.incident g u)
+  done;
+  Array.iter
+    (fun (valve : Chip.valve) ->
+      let w = valve.valve_id and e = valve.edge in
+      let a, b = Graph.endpoints g e in
+      (match Chip.valve_on chip e with
+       | Some on when on.valve_id = w ->
+         if
+           Chip.is_channel chip e
+           && ((reached a && Bitset.mem dark b) || (reached b && Bitset.mem dark a))
+         then Bitset.add detected (ne + w)
+       | Some _ | None -> ());
+      if Bitset.mem v.active_lines valve.control && (Bitset.mem dark a || Bitset.mem dark b) then
+        Bitset.add detected (ne + nv + w))
+    (Chip.valves chip);
+  { well_formed = List.for_all (fun m -> reached m = v.expected) v.meters; detected }
+
+(* The state that fixes [detect]'s answer on chips with one set of
+   channels and valves: which valves the vector closes, its source, its
+   meters and its expectation.  Control wiring enters only through the
+   closed-valve set, so every sharing scheme of one augmented chip maps a
+   vector to the same key iff it closes the same valves. *)
+let detection_key chip (v : Vector.t) =
+  let valves = Chip.valves chip in
+  let closed = (Array.length valves + 7) / 8 in
+  let key = Bytes.make (closed + (4 * (2 + List.length v.meters))) '\000' in
+  Array.iteri
+    (fun w (valve : Chip.valve) ->
+      if Bitset.mem v.active_lines valve.control then
+        Bytes.set_uint8 key (w / 8) (Bytes.get_uint8 key (w / 8) lor (1 lsl (w mod 8))))
+    valves;
+  Bytes.set_int32_le key closed (Int32.of_int v.source);
+  Bytes.set_int32_le key (closed + 4) (if v.expected then 1l else 0l);
+  List.iteri (fun i m -> Bytes.set_int32_le key (closed + 8 + (4 * i)) (Int32.of_int m)) v.meters;
+  Bytes.unsafe_to_string key

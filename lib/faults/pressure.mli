@@ -85,3 +85,40 @@ val prepared_detects : prepared -> Fault.t -> bool
 val prepared_resimulated : prepared -> int
 (** How many {!prepared_detects} calls on this value fell back to
     simulating the faulty chip. *)
+
+(** {1 Detection sets}
+
+    Without a fault context the fault-free reach is the source's component
+    of the conducting graph, so one pass over it decides every single
+    fault at once: a stuck-at-0 is detected iff its edge is a bridge of
+    that component with a meter on its far side, and a stuck-at-1 or leak
+    is decided from the reached and dark endpoints of its valve, as
+    {!prepared_detects} decides it.  Fault-context simulation stays on
+    {!prepare}. *)
+
+type detection = {
+  well_formed : bool;  (** equal to [well_formed chip v] *)
+  detected : Mf_util.Bitset.t;
+      (** every fault the vector detects, over {!fault_space}; read it with
+          {!detects_in} *)
+}
+
+val fault_space : Mf_arch.Chip.t -> int
+(** Size of a detection set: one bit per grid edge (stuck-at-0), then one
+    per valve (stuck-at-1), then one per valve (leak). *)
+
+val detects_in : Mf_arch.Chip.t -> Mf_util.Bitset.t -> Fault.t -> bool
+(** Is the fault's bit set?  [detects_in chip (detect chip v).detected f]
+    equals [detects chip v f] for every fault [f]. *)
+
+val detect : Mf_arch.Chip.t -> Vector.t -> detection
+(** One fault-free simulation of the vector, returning its well-formedness
+    and its full detection set. *)
+
+val detection_key : Mf_arch.Chip.t -> Vector.t -> string
+(** A packed key of what fixes {!detect}'s answer among chips with the same
+    channels and valves: the set of valves the vector closes, its source,
+    its meters and its expectation.  Two vectors with equal keys on two
+    such chips (say, two sharing schemes of one augmented chip) have equal
+    detections; callers that simulate many schemes of one chip memoise
+    {!detect} under this key. *)

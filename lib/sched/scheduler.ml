@@ -86,6 +86,16 @@ type transport = {
   t_finish : int;
 }
 
+(* Memo key of a [route] query: its source list and destination. *)
+module Route_key = struct
+  type t = int list * int
+
+  let equal ((a : int list), (x : int)) (b, y) = x = y && List.equal Int.equal a b
+  let hash (srcs, dst) = List.fold_left (fun h n -> (h * 65599) + n) dst srcs land max_int
+end
+
+module Route_memo = Hashtbl.Make (Route_key)
+
 (* The state carries two redundant views of occupancy.  The *reference*
    view is the original seed implementation: every query rebuilds its
    answer from [units]/[devs]/[transports] on the spot.  The *fast* view
@@ -122,6 +132,14 @@ type state = {
   kind_counts : int array;  (** device kind -> number of devices *)
   mutable c_steps : int;
   mutable c_routes : int;
+  mutable c_memo_hits : int;
+  (* occupancy generation: every mutation hook bumps it, so two queries at
+     one generation see one occupancy state.  [route] and [storage_site]
+     answers in fast mode are kept for the generation [memo_gen]. *)
+  mutable gen : int;
+  mutable memo_gen : int;
+  route_memo : (int * int list) option Route_memo.t;
+  storage_memo : (int, (int * int list) option) Hashtbl.t;
   (* incremental occupancy (fast primitives) *)
   dev_units : int list array;  (** device -> resident unit ids, ascending *)
   dev_inbound : int list array;  (** device -> unit ids in transit to it *)
@@ -235,6 +253,11 @@ let init chip prep app opts ~fast ~record_events =
     kind_counts;
     c_steps = 0;
     c_routes = 0;
+    c_memo_hits = 0;
+    gen = 0;
+    memo_gen = 0;
+    route_memo = Route_memo.create 16;
+    storage_memo = Hashtbl.create 8;
     dev_units = Array.make (Array.length devs) [];
     dev_inbound = Array.make (Array.length devs) [];
     occ_nodes = Bitset.create n_nodes;
@@ -261,7 +284,10 @@ let init chip prep app opts ~fast ~record_events =
 (* ------------------------------------------------------------------ *)
 (* Mutation hooks: every change to unit locations, device runs or the
    in-flight transport set goes through these, keeping the incremental
-   view in lock-step with the ground-truth fields in both modes. *)
+   view in lock-step with the ground-truth fields in both modes, and
+   bumping the occupancy generation. *)
+
+let bump st = st.gen <- st.gen + 1
 
 let refresh_dev_occ st (d : dev) =
   let busy =
@@ -274,6 +300,7 @@ let refresh_dev_occ st (d : dev) =
    occupancy bits never collide with device bits and each endpoint has one
    claimant — plain add/remove is exact. *)
 let storage_claim st e =
+  bump st;
   if not (Bitset.mem st.storage e) then begin
     Bitset.add st.storage e;
     Bitset.add st.occ_nodes st.prep.P.edge_u.(e);
@@ -281,6 +308,7 @@ let storage_claim st e =
   end
 
 let storage_release st e =
+  bump st;
   Bitset.remove st.storage e;
   Bitset.remove st.occ_nodes st.prep.P.edge_u.(e);
   Bitset.remove st.occ_nodes st.prep.P.edge_v.(e)
@@ -291,6 +319,7 @@ let rec insert_sorted x = function
   | y :: rest -> y :: insert_sorted x rest
 
 let set_loc st (u : unit_state) loc =
+  bump st;
   (match u.loc with
    | At_device d ->
      st.dev_units.(d) <- List.filter (fun id -> id <> u.u_id) st.dev_units.(d);
@@ -308,10 +337,12 @@ let set_loc st (u : unit_state) loc =
   | Fresh | In_transit | Consumed -> ()
 
 let set_run st (d : dev) run =
+  bump st;
   d.d_run <- run;
   refresh_dev_occ st d
 
 let add_transport st tr =
+  bump st;
   st.transports <- tr :: st.transports;
   List.iter
     (fun e ->
@@ -329,6 +360,7 @@ let add_transport st tr =
    A storage claim persists (the unit lands [Stored] there right after);
    a reservoir claim is re-added by the unit's [set_loc]. *)
 let drop_transport st tr =
+  bump st;
   List.iter
     (fun e ->
       st.te_count.(e) <- st.te_count.(e) - 1;
@@ -658,9 +690,30 @@ let route_fast st ~srcs ~dst =
     srcs;
   Option.map (fun (src, path, _) -> (src, path)) !best
 
+(* The memo tables hold answers for generation [memo_gen] only. *)
+let sync_memo st =
+  if st.memo_gen <> st.gen then begin
+    Route_memo.clear st.route_memo;
+    Hashtbl.clear st.storage_memo;
+    st.memo_gen <- st.gen
+  end
+
+(* Fast-mode answers are pure functions of the occupancy state and the
+   query, so a repeat at an unchanged generation reads the memo. *)
 let route st ~srcs ~dst =
   st.c_routes <- st.c_routes + 1;
-  if st.fast then route_fast st ~srcs ~dst else route_ref st ~srcs ~dst
+  if not st.fast then route_ref st ~srcs ~dst
+  else begin
+    sync_memo st;
+    match Route_memo.find_opt st.route_memo (srcs, dst) with
+    | Some r ->
+      st.c_memo_hits <- st.c_memo_hits + 1;
+      r
+    | None ->
+      let r = route_fast st ~srcs ~dst in
+      Route_memo.add st.route_memo (srcs, dst) r;
+      r
+  end
 
 let push_event st ev = if st.record_events then st.events <- ev :: st.events
 
@@ -970,7 +1023,18 @@ let storage_site_fast st ~from_node =
   end
 
 let storage_site st ~from_node =
-  if st.fast then storage_site_fast st ~from_node else storage_site_ref st ~from_node
+  if not st.fast then storage_site_ref st ~from_node
+  else begin
+    sync_memo st;
+    match Hashtbl.find_opt st.storage_memo from_node with
+    | Some r ->
+      st.c_memo_hits <- st.c_memo_hits + 1;
+      r
+    | None ->
+      let r = storage_site_fast st ~from_node in
+      Hashtbl.add st.storage_memo from_node r;
+      r
+  end
 
 let try_evict st time d =
   match first_unit_at st d.d_id with
@@ -1220,7 +1284,8 @@ let prof_flush st =
   ignore (Atomic.fetch_and_add Stats.routes st.c_routes);
   Mf_util.Prof.add_count "sched.runs" 1;
   Mf_util.Prof.add_count "sched.steps" st.c_steps;
-  Mf_util.Prof.add_count "sched.routes" st.c_routes
+  Mf_util.Prof.add_count "sched.routes" st.c_routes;
+  Mf_util.Prof.add_count "sched.memo_hits" st.c_memo_hits
 
 let exec ~options ~prep ~fast ~record_events chip app =
   (* every op kind used must have a device *)

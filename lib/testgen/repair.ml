@@ -140,28 +140,45 @@ let route_seq chip ?present ~s ~t ~via () =
 
 let routes chip ~s ~t via = List.of_seq (route_seq chip ~s ~t ~via ())
 
-let tried ?present ?routes chip ~s ~t via =
-  match (present, routes) with
-  | None, Some memo -> List.to_seq (memo via)
-  | Some _, Some _ -> invalid_arg "Repair: ?routes holds fault-free routes; drop it with ?present"
+type cache = {
+  routes : int -> int list list;
+  detect : Chip.t -> Vector.t -> Pressure.detection;
+}
+
+let tried ?present ?cache chip ~s ~t via =
+  match (present, cache) with
+  | None, Some c -> List.to_seq (c.routes via)
+  | Some _, Some _ -> invalid_arg "Repair: ?cache holds fault-free answers; drop it with ?present"
   | _, None -> route_seq chip ?present ~s ~t ~via ()
 
-let confirms_sa0 ?present chip ~s ~t edge path =
-  let p = Pressure.prepare ?present chip (Vector.of_path chip ~source:s ~meters:[ t ] path) in
-  Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_0 edge)
+(* Is [v] well-formed and does it detect [fault]?  Fault-free checks read
+   the vector's detection set, from the cache when there is one. *)
+let confirms ?present ?cache chip v fault =
+  match present with
+  | Some _ ->
+    let p = Pressure.prepare ?present chip v in
+    Pressure.prepared_well_formed p && Pressure.prepared_detects p fault
+  | None ->
+    let d = match cache with Some c -> c.detect chip v | None -> Pressure.detect chip v in
+    d.well_formed && Pressure.detects_in chip d.detected fault
+
+let confirms_sa0 ?present ?cache chip ~s ~t edge path =
+  confirms ?present ?cache chip
+    (Vector.of_path chip ~source:s ~meters:[ t ] path)
+    (Fault.Stuck_at_0 edge)
 
 let candidates_sa0 ?present chip ~s ~t edge =
   dedup
     (List.of_seq
        (Seq.filter (confirms_sa0 ?present chip ~s ~t edge) (tried ?present chip ~s ~t edge)))
 
-let repair_sa0 ?present ?routes chip ~s ~t edge =
-  Seq.find (confirms_sa0 ?present chip ~s ~t edge) (tried ?present ?routes chip ~s ~t edge)
+let repair_sa0 ?present ?cache chip ~s ~t edge =
+  Seq.find (confirms_sa0 ?present ?cache chip ~s ~t edge) (tried ?present ?cache chip ~s ~t edge)
 
 (* Worst-case stuck-at-1 vector (Sec. 3): close every valve except those on
    one leak path through the defective valve, so pressure at the meter can
    only mean that [v] failed to close. *)
-let confirmed_cut ?present chip ~s ~t valve_id path =
+let confirmed_cut ?present ?cache chip ~s ~t valve_id path =
   let open_valves =
     List.filter_map
       (fun f ->
@@ -173,8 +190,10 @@ let confirmed_cut ?present chip ~s ~t valve_id path =
   let cut =
     List.init (Chip.n_valves chip) Fun.id |> List.filter (fun w -> not (List.mem w open_valves))
   in
-  let p = Pressure.prepare ?present chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut) in
-  if Pressure.prepared_well_formed p && Pressure.prepared_detects p (Fault.Stuck_at_1 valve_id)
+  if
+    confirms ?present ?cache chip
+      (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
+      (Fault.Stuck_at_1 valve_id)
   then Some cut
   else None
 
@@ -184,21 +203,23 @@ let candidates_sa1 ?present chip ~s ~t valve_id =
     (List.of_seq
        (Seq.filter_map (confirmed_cut ?present chip ~s ~t valve_id) (tried ?present chip ~s ~t via)))
 
-let repair_sa1 ?present ?routes chip ~s ~t valve_id =
+let repair_sa1 ?present ?cache chip ~s ~t valve_id =
   let via = (Chip.valves chip).(valve_id).edge in
-  Seq.find_map (confirmed_cut ?present chip ~s ~t valve_id) (tried ?present ?routes chip ~s ~t via)
+  Seq.find_map
+    (confirmed_cut ?present ?cache chip ~s ~t valve_id)
+    (tried ?present ?cache chip ~s ~t via)
 
 (* The vectors [run] appends, as a suite of their own. *)
-let additions ?present ?routes chip (suite : Vectors.t) (report : Mf_faults.Coverage.report) =
+let additions ?present ?cache chip (suite : Vectors.t) (report : Mf_faults.Coverage.report) =
   Mf_util.Prof.time "testgen.repair" @@ fun () ->
   let ports = Chip.ports chip in
   let s = ports.(suite.source_port).node and t = ports.(suite.meter_port).node in
   {
     suite with
     Vectors.path_edges =
-      List.filter_map (fun e -> repair_sa0 ?present ?routes chip ~s ~t e) report.sa0_undetected;
+      List.filter_map (fun e -> repair_sa0 ?present ?cache chip ~s ~t e) report.sa0_undetected;
     cut_valves =
-      List.filter_map (fun v -> repair_sa1 ?present ?routes chip ~s ~t v) report.sa1_undetected;
+      List.filter_map (fun v -> repair_sa1 ?present ?cache chip ~s ~t v) report.sa1_undetected;
   }
 
 let append (suite : Vectors.t) (extra : Vectors.t) =
@@ -211,10 +232,12 @@ let append (suite : Vectors.t) (extra : Vectors.t) =
 let run ?present chip suite =
   append suite (additions ?present chip suite (Vectors.validate ?present chip suite))
 
-let validate ?present ?routes chip suite =
-  let report = Vectors.validate ?present chip suite in
+let validate ?present ?cache chip suite =
+  let detect = Option.map (fun c -> c.detect) cache in
+  let report = Vectors.validate ?present ?detect chip suite in
   if Mf_faults.Coverage.complete report then (suite, report)
   else begin
-    let extra = additions ?present ?routes chip suite report in
-    (append suite extra, Mf_faults.Coverage.extend ?present chip report (Vectors.vectors chip extra))
+    let extra = additions ?present ?cache chip suite report in
+    ( append suite extra,
+      Mf_faults.Coverage.extend ?present ?detect chip report (Vectors.vectors chip extra) )
   end

@@ -37,24 +37,33 @@ val routes : Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
     edge [via] that repair tries on the fault-free chip, in the order it
     tries them.  It depends on the chip's channels and valve placement, the
     terminals and [via], never on control wiring: every sharing scheme of
-    one augmented chip has the same routes.  Callers that repair many
-    schemes memoise it per [via] and pass the memo as [?routes]. *)
+    one augmented chip has the same routes. *)
+
+(** Fault-free answers shared by every sharing scheme of one augmented
+    chip: callers that repair many schemes memoise both per chip and pass
+    them as [?cache]. *)
+type cache = {
+  routes : int -> int list list;  (** {!routes} for the repair's terminals *)
+  detect : Mf_arch.Chip.t -> Mf_faults.Vector.t -> Mf_faults.Pressure.detection;
+      (** {!Mf_faults.Pressure.detect}, typically memoised under
+          {!Mf_faults.Pressure.detection_key} *)
+}
 
 val repair_sa0 :
   ?present:Mf_faults.Pressure.context ->
-  ?routes:(int -> int list list) ->
+  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
 (** First confirmed candidate of {!candidates_sa0}, if any; no later
-    candidate is built or simulated.  [?routes] supplies {!routes} for
-    these terminals; it is the fault-free chip's, so it cannot go with
-    [?present] ([Invalid_argument]). *)
+    candidate is built or simulated.  [?cache] supplies the routes and
+    the candidates' detection sets; it holds the fault-free chip's
+    answers, so it cannot go with [?present] ([Invalid_argument]). *)
 
 val repair_sa1 :
   ?present:Mf_faults.Pressure.context ->
-  ?routes:(int -> int list list) ->
+  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
 (** First confirmed candidate of {!candidates_sa1}, if any, with
-    [?routes] as in {!repair_sa0}. *)
+    [?cache] as in {!repair_sa0}. *)
 
 val run :
   ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> Vectors.t -> Vectors.t
@@ -64,10 +73,11 @@ val run :
 
 val validate :
   ?present:Mf_faults.Pressure.context ->
-  ?routes:(int -> int list list) ->
+  ?cache:cache ->
   Mf_arch.Chip.t -> Vectors.t -> Vectors.t * Mf_faults.Coverage.report
 (** [validate chip suite] validates the suite and, when faults escape,
     repairs it with {!run} and re-measures only the appended vectors
     ({!Mf_faults.Coverage.extend}).  It returns the suite (repaired when
     escapes were found) and the report {!Vectors.validate} gives on it.
-    [?routes] as in {!repair_sa0}. *)
+    [?cache] as in {!repair_sa0}; its detection sets also answer both
+    measurements. *)

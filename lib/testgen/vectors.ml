@@ -26,6 +26,6 @@ let vectors chip t =
 
 let count t = List.length t.path_edges + List.length t.cut_valves
 
-let validate ?present chip t = Coverage.measure ?present chip (vectors chip t)
+let validate ?present ?detect chip t = Coverage.measure ?present ?detect chip (vectors chip t)
 
 let is_valid ?present chip t = Coverage.complete (validate ?present chip t)

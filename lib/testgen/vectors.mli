@@ -24,12 +24,17 @@ val count : t -> int
 (** Total number of test vectors (paths + cuts), the Fig. 8 metric. *)
 
 val validate :
-  ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> t -> Mf_faults.Coverage.report
+  ?present:Mf_faults.Pressure.context ->
+  ?detect:(Mf_arch.Chip.t -> Mf_faults.Vector.t -> Mf_faults.Pressure.detection) ->
+  Mf_arch.Chip.t ->
+  t ->
+  Mf_faults.Coverage.report
 (** Exhaustive fault simulation of the suite against the given chip.  With
     sharing applied this is exactly the validation step of Sec. 4.1: a
     sharing scheme is acceptable only when the report is
     {!Mf_faults.Coverage.complete}.  With [?present] the suite is validated
     on the degraded chip (field faults simulated as physically there) over
-    the remaining fault universe — see {!Mf_faults.Coverage.measure}. *)
+    the remaining fault universe — see {!Mf_faults.Coverage.measure}, which
+    also describes [?detect]. *)
 
 val is_valid : ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> t -> bool

@@ -18,6 +18,7 @@ module Synth = Mf_chips.Synth
 module Sharing = Mfdft.Sharing
 module Codesign = Mfdft.Codesign
 module Rng = Mf_util.Rng
+module Pool = Mfdft.Pool
 
 let check = Alcotest.check
 
@@ -95,6 +96,43 @@ let test_sharing_differential () =
     let scratch = Scheduler.run ~prep:(Prep.of_chip shared) shared app in
     check result (Printf.sprintf "sharing %d for_sharing=of_chip" i) fast scratch
   done
+
+(* fast = reference on the chips the sharing fitness schedules: random
+   sharing schemes of the pool entries of ivd_chip and ra30_chip under cpa,
+   where the fast path answers most route and storage queries from its
+   per-generation memo *)
+let test_pool_entry_differential () =
+  let app = Assays.cpa () in
+  let stored = ref 0 in
+  List.iter
+    (fun cn ->
+      let chip = Option.get (Benchmarks.by_name cn) in
+      match Pool.build ~size:3 ~node_limit:300 ~rng:(Rng.create ~seed:23) chip with
+      | Error f -> Alcotest.fail (Mf_util.Fail.to_string f)
+      | Ok pool ->
+        Array.iteri
+          (fun k (entry : Pool.entry) ->
+            let aug = entry.Pool.augmented in
+            let base = Prep.of_chip aug in
+            let rng = Rng.create ~seed:99 in
+            for i = 0 to 10 do
+              let scheme = if i = 0 then [] else Sharing.random rng aug in
+              let shared = Sharing.apply aug scheme in
+              let prep = Prep.for_sharing base shared in
+              List.iter
+                (fun (vn, options) ->
+                  let fast = Scheduler.run ~options ~prep shared app in
+                  let slow = Scheduler.run_reference ~options shared app in
+                  (match fast with
+                   | Ok s -> stored := !stored + s.Schedule.n_stored
+                   | Error _ -> ());
+                  check result (Printf.sprintf "%s entry %d scheme %d %s" cn k i vn) slow fast)
+                [ ("default", Scheduler.default_options);
+                  ("wash", { Scheduler.default_options with wash = true }) ]
+            done)
+          (Pool.entries pool))
+    [ "ivd_chip"; "ra30_chip" ];
+  check Alcotest.bool "storage searches ran" true (!stored > 0)
 
 (* random synthetic chips x random assays x option variants *)
 let qcheck_synth_differential =
@@ -214,6 +252,8 @@ let () =
           Alcotest.test_case "benchmark matrix" `Quick test_benchmark_differential;
           Alcotest.test_case "prep + entries" `Quick test_prep_and_entries;
           Alcotest.test_case "sharing schemes" `Quick test_sharing_differential;
+          Alcotest.test_case "pool-entry sharing schemes (cpa)" `Quick
+            test_pool_entry_differential;
           qt qcheck_synth_differential;
         ] );
       ( "determinism",
