@@ -840,7 +840,9 @@ let repair_bench ~write_baseline () =
       (match rp with
        | Error f -> fail "%s: repair failed: %s" name (Mf_util.Fail.to_string f)
        | Ok rr ->
-         let n_err, _ = Mf_util.Diag.count rr.Reconfig.diags in
+         let n_err, _ =
+           Mf_util.Diag.count (Mf_verify.Verify.certificate rr.Reconfig.chip rr.Reconfig.cert)
+         in
          if n_err > 0 then fail "%s: repaired suite re-certified with %d error(s)" name n_err;
          let speedup = full_ms /. repair_ms in
          if speedup < repair_min_speedup then

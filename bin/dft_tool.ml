@@ -504,10 +504,11 @@ let repair_cmd =
            List.iter
              (fun d -> Format.printf "  - %s@." (Reconfig.degradation_to_string d))
              ds);
-        let n_err, n_warn = Mf_util.Diag.count r.Reconfig.diags in
+        let diags = Mf_verify.Verify.certificate r.Reconfig.chip r.Reconfig.cert in
+        let n_err, n_warn = Mf_util.Diag.count diags in
         Format.printf "re-certification (independent): %d error(s), %d warning(s)@." n_err
           n_warn;
-        List.iter (fun d -> Format.printf "  %a@." Mf_util.Diag.pp d) r.Reconfig.diags;
+        List.iter (fun d -> Format.printf "  %a@." Mf_util.Diag.pp d) diags;
         (match out_prefix with
          | None -> ()
          | Some prefix ->

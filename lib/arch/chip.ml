@@ -255,12 +255,16 @@ let with_sharing chip assignments =
       Hashtbl.add remap line d;
       d
   in
-  let valve_specs =
-    Array.to_list chip.valves |> List.map (fun v -> (v.edge, dense control.(v.valve_id), v.is_dft))
+  let valves =
+    Array.map
+      (fun v ->
+        let control = dense control.(v.valve_id) in
+        if control = v.control then v else { v with control })
+      chip.valves
   in
-  freeze ~chip_name:chip.chip_name ~grid:chip.grid ~devices:chip.devices ~ports:chip.ports
-    ~channels:(Bitset.copy chip.channels) ~valve_specs ~n_original_valves:chip.n_original_valves
-    ~dft_edges:chip.dft_edges
+  (* only control lines change: every other field, lookup tables included,
+     is shared with [chip] (none is mutated after [freeze]) *)
+  { chip with valves; n_controls = !next }
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)

@@ -71,7 +71,6 @@ type result = {
   degradations : degradation list;
   stats : stats;
   cert : Cert.t;
-  diags : Diag.t list;
 }
 
 let failf ?elapsed fmt =
@@ -466,7 +465,6 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
                   runtime = elapsed ();
                 };
               cert;
-              diags;
             }
         end
       in

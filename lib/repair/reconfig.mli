@@ -22,8 +22,10 @@
       (bounded by [params.max_rounds]);
     + re-certifies through the independent [Mf_verify] layer: the result
       carries a {!Mf_verify.Cert.t} with the fault context and the audited
-      waivers, plus its verification diagnostics — a repair that cannot be
-      certified is a typed [Error], never a silent partial artifact.
+      waivers, and [Mf_verify.Verify.certificate result.chip result.cert]
+      re-derives its verification diagnostics (errors never, warnings
+      possibly) — a repair that cannot be certified is a typed [Error],
+      never a silent partial artifact.
 
     Results are deterministic and independent of [params.jobs]: the engine
     draws no random numbers, candidate generation is per-fault pure, and
@@ -83,8 +85,11 @@ type result = {
   exec_after : int option;  (** makespan on the repaired chip (same prep topology) *)
   degradations : degradation list;
   stats : stats;
-  cert : Mf_verify.Cert.t;  (** context + waivers included *)
-  diags : Mf_util.Diag.t list;  (** independent verification; never errors in [Ok] *)
+  cert : Mf_verify.Cert.t;
+      (** context + waivers included; [Mf_verify.Verify.certificate chip cert]
+          has no errors.  Its warnings are not kept: a result holds no
+          message strings, so a caller that keeps many results keeps only
+          their structure *)
 }
 
 val repair :
