@@ -176,18 +176,15 @@ let testable_suite cache (entry : Pool.entry) scheme =
   let added = entry.Pool.config.Pathgen.added_edges in
   let lookups = ref 0 and misses = ref 0 in
   let memo_cache =
-    {
-      Mf_testgen.Repair.routes =
-        (fun via ->
-          memo cache cache.routes (added, via) (fun () ->
-              Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via));
-      detect =
-        (fun chip v ->
-          incr lookups;
-          memo cache cache.detections (added, Mf_faults.Pressure.detection_key chip v) (fun () ->
-              incr misses;
-              Mf_faults.Pressure.detect chip v));
-    }
+    Mf_testgen.Repair.fault_free_cache
+      ~routes:(fun via ->
+        memo cache cache.routes (added, via) (fun () ->
+            Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via))
+      ~detect:(fun chip v ->
+        incr lookups;
+        memo cache cache.detections (added, Mf_faults.Pressure.detection_key chip v) (fun () ->
+            incr misses;
+            Mf_faults.Pressure.detect chip v))
   in
   let suite, report = Mf_testgen.Repair.validate ~cache:memo_cache shared suite in
   Mf_util.Prof.add_count "faults.memo_hits" (!lookups - !misses);

@@ -186,6 +186,18 @@ let prepared_well_formed p = List.for_all (fun r -> r = p.p_vector.expected) p.p
 
 let prepared_resimulated p = p.p_resimulated
 
+(* Pressure can reach the meter around a blocked path edge through
+   unvalved channels, so reading as expected is not enough: a path vector
+   that crosses a blocked edge no longer tests the path it names. *)
+let crosses_blocked present (v : Vector.t) =
+  match (present, v.kind) with
+  | Some c, Vector.Path edges -> List.exists (Bitset.mem c.ctx_blocked) edges
+  | _, (Vector.Path _ | Vector.Cut _) -> false
+
+let intact ?present chip v = (not (crosses_blocked present v)) && well_formed ?present chip v
+
+let prepared_intact p = (not (crosses_blocked p.p_present p.p_vector)) && prepared_well_formed p
+
 let prepared_detects p fault =
   let chip = p.p_chip in
   let g = Grid.graph (Chip.grid chip) in

@@ -53,6 +53,15 @@ val well_formed : ?present:context -> Mf_arch.Chip.t -> Vector.t -> bool
     path vector that traverses a blocked edge, or a cut vector defeated by
     a stuck-open valve, is no longer well-formed. *)
 
+val intact : ?present:context -> Mf_arch.Chip.t -> Vector.t -> bool
+(** The vector is intact on the degraded chip: it is {!well_formed} under
+    the context and, when it is a path vector, crosses no edge the context
+    blocks.  Pressure can reach the meter around a blocked path edge
+    through unvalved channels, so a well-formed path vector may still
+    cross one.  Without a context this is {!well_formed}.  What the repair
+    engine keeps and adds; the certifier derives the same rules on its own
+    (MF101, MF104). *)
+
 (** {1 Prepared vectors}
 
     One fault-free simulation of a vector, from which every single-fault
@@ -76,6 +85,9 @@ val prepared_readings : prepared -> bool list
 
 val prepared_well_formed : prepared -> bool
 (** Equal to [well_formed ?present chip v]. *)
+
+val prepared_intact : prepared -> bool
+(** Equal to [intact ?present chip v]. *)
 
 val prepared_detects : prepared -> Fault.t -> bool
 (** [prepared_detects (prepare ?present chip v) f] equals

@@ -150,17 +150,14 @@ let terminals chip (suite : Vectors.t) =
   let ports = Chip.ports chip in
   (ports.(suite.Vectors.source_port).node, ports.(suite.Vectors.meter_port).node)
 
-(* Vectors the context malforms are dead on the degraded chip; everything
+(* Vectors the context damages are dead on the degraded chip; everything
    else is reusable verbatim.  This is the minimal damage set: only faults
    these vectors covered (or fresh escapes) need re-solving. *)
 let drop_damaged ctx chip (suite : Vectors.t) =
   let s, t = terminals chip suite in
-  let ok_path p =
-    Pressure.well_formed ~present:ctx chip (Vector.of_path chip ~source:s ~meters:[ t ] p)
-  in
-  let ok_cut c =
-    Pressure.well_formed ~present:ctx chip (Vector.of_cut chip ~source:s ~meters:[ t ] c)
-  in
+  let intact v = Pressure.intact ~present:ctx chip v in
+  let ok_path p = intact (Vector.of_path chip ~source:s ~meters:[ t ] p) in
+  let ok_cut c = intact (Vector.of_cut chip ~source:s ~meters:[ t ] c) in
   let keep_paths = List.filter ok_path suite.Vectors.path_edges in
   let keep_cuts = List.filter ok_cut suite.Vectors.cut_valves in
   let dropped =
@@ -171,38 +168,53 @@ let drop_damaged ctx chip (suite : Vectors.t) =
   in
   ({ suite with Vectors.path_edges = keep_paths; cut_valves = keep_cuts }, dropped)
 
-type cand = Cpath of int list | Ccut of int list
+type candidate = Path of int list | Cut of int list
 
 let cand_vector chip ~s ~t = function
-  | Cpath p -> Vector.of_path chip ~source:s ~meters:[ t ] p
-  | Ccut c -> Vector.of_cut chip ~source:s ~meters:[ t ] c
+  | Path p -> Vector.of_path chip ~source:s ~meters:[ t ] p
+  | Cut c -> Vector.of_cut chip ~source:s ~meters:[ t ] c
 
 let escaped_faults (report : Coverage.report) =
   List.map (fun e -> Fault.Stuck_at_0 e) report.Coverage.sa0_undetected
   @ List.map (fun v -> Fault.Stuck_at_1 v) report.Coverage.sa1_undetected
 
-(* Per-fault confirmed repair candidates on the degraded chip.  Pure and
-   deterministic, so the per-fault fan-out below is jobs-independent. *)
-let gen_candidates ctx chip ~s ~t fault =
+(* Per-fault confirmed repair candidates on the degraded chip, as one
+   sequence: [Vrepair]'s, and for a stuck-at-1 without any, the max-flow
+   minimum cut forced through the valve (the second algorithm), confirmed
+   on the degraded chip.  Pure and deterministic given the cache's
+   context, so the per-fault fan-out below is jobs-independent. *)
+let candidate_seq cache chip ~s ~t fault : candidate Seq.t =
   match fault with
-  | Fault.Stuck_at_0 e ->
-    List.map (fun p -> Cpath p) (Vrepair.candidates_sa0 ~present:ctx chip ~s ~t e)
+  | Fault.Stuck_at_0 e -> Seq.map (fun p -> Path p) (Vrepair.confirmed_sa0 ~cache chip ~s ~t e)
   | Fault.Stuck_at_1 w -> (
-      match Vrepair.candidates_sa1 ~present:ctx chip ~s ~t w with
-      | _ :: _ as cuts -> List.map (fun c -> Ccut c) cuts
-      | [] -> (
-          (* second algorithm: the max-flow minimum cut forced through the
-             valve, confirmed on the degraded chip *)
-          match Cutgen.cover_valve chip ~s ~t (Chip.valves chip).(w) with
-          | None -> []
-          | Some cut ->
-            let p =
-              Pressure.prepare ~present:ctx chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
-            in
-            if Pressure.prepared_well_formed p && Pressure.prepared_detects p fault then
-              [ Ccut cut ]
-            else []))
-  | Fault.Leak _ -> []
+      let cuts = Seq.map (fun c -> Cut c) (Vrepair.confirmed_sa1 ~cache chip ~s ~t w) in
+      fun () ->
+        match cuts () with
+        | Seq.Cons _ as found -> found
+        | Seq.Nil -> (
+            match Cutgen.cover_valve chip ~s ~t (Chip.valves chip).(w) with
+            | Some cut
+              when let p =
+                     Pressure.prepare ?present:(Vrepair.cache_context cache) chip
+                       (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
+                   in
+                   Pressure.prepared_intact p && Pressure.prepared_detects p fault ->
+              Seq.Cons (Cut cut, Seq.empty)
+            | Some _ | None -> Seq.Nil))
+  | Fault.Leak _ -> Seq.empty
+
+let dedup lists =
+  let rec go seen = function
+    | [] -> []
+    | x :: rest -> if List.mem x seen then go seen rest else x :: go (x :: seen) rest
+  in
+  go [] lists
+
+let candidate_list cache chip ~s ~t fault =
+  dedup (List.of_seq (candidate_seq cache chip ~s ~t fault))
+
+let first_candidate cache chip ~s ~t fault =
+  Option.map fst (Seq.uncons (candidate_seq cache chip ~s ~t fault))
 
 (* ------------------------------------------------------------------ *)
 (* Cover selection: the fewest candidate vectors detecting every escaped
@@ -265,41 +277,34 @@ let select_cover ?budget ~node_limit cands detect_matrix n_faults =
 (* ------------------------------------------------------------------ *)
 (* Fallbacks *)
 
-let dedup lists =
-  let rec go seen = function
-    | [] -> []
-    | x :: rest -> if List.mem x seen then go seen rest else x :: go (x :: seen) rest
-  in
-  go [] lists
-
 (* Full re-solve on the degraded chip: regenerate the cut side with the
    generation-side max-flow cut generator and re-run the per-fault repair
    over the whole remaining universe.  Much more work than the incremental
    path — exactly what [Full_resolve] records. *)
-let full_resolve ctx chip (kept : Vectors.t) =
+let full_resolve cache chip (kept : Vectors.t) =
   let s, t = terminals chip kept in
   let cg =
     Cutgen.generate chip ~source:kept.Vectors.source_port ~meter:kept.Vectors.meter_port
   in
   let usable cut =
-    Pressure.well_formed ~present:ctx chip (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
+    Pressure.intact ?present:(Vrepair.cache_context cache) chip
+      (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
   in
   let cuts = List.filter usable cg.Cutgen.cuts in
   let seeded =
     { kept with Vectors.cut_valves = dedup (kept.Vectors.cut_valves @ cuts) }
   in
-  Vrepair.run ~present:ctx chip seeded
+  Vrepair.run ~cache chip seeded
 
 (* Minimal unsharing: keep the longest greedy prefix-closure of the sharing
-   scheme under which every stranded fault has a confirmed candidate.  The
-   suite's paths and cuts carry edge/valve ids, which sharing rewiring
-   preserves, so vectors stay portable across the rewired chip. *)
-let unshare faults0 ~missing ~src_port ~dst_port aug scheme =
+   scheme under which every stranded fault has a confirmed candidate (its
+   first one: nothing past it is built).  The suite's paths and cuts carry
+   edge/valve ids, which sharing rewiring preserves, so vectors stay
+   portable across the rewired chip, and so do the routes in [memo]. *)
+let unshare memo faults0 ~missing ~s ~t aug scheme =
   let ok chip' =
-    let ctx = Pressure.context chip' faults0 in
-    let ports = Chip.ports chip' in
-    let s = ports.(src_port).Chip.node and t = ports.(dst_port).Chip.node in
-    List.for_all (fun f -> gen_candidates ctx chip' ~s ~t f <> []) missing
+    let cache = Vrepair.cache ~present:(Pressure.context chip' faults0) memo chip' ~s ~t in
+    List.for_all (fun f -> Option.is_some (first_candidate cache chip' ~s ~t f)) missing
   in
   if not (ok aug) then None
   else begin
@@ -404,6 +409,11 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
          rewire controls / regenerate vectors), so the final chip reuses the
          input chip's routing cache via [Prep.for_sharing]. *)
       let base_prep = lazy (Prep.of_chip chip0) in
+      (* Routes depend on topology, valve placement, terminals, [via] and
+         the context's blocked and stuck-open sets, never on control
+         wiring: one memo serves every round, every unsharing trial and
+         the full re-solve of this call (DESIGN.md §14). *)
+      let memo = Vrepair.memo () in
       let finish ?(extra = []) st (report : Coverage.report) untestable =
         let cert =
           Cert.make ~chip_name:(Chip.name st.st_chip)
@@ -419,7 +429,9 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
             ~claimed_coverage:(report.Coverage.detected, report.Coverage.total_faults)
             ()
         in
-        let diags = Mf_verify.Verify.certificate st.st_chip cert in
+        let diags =
+          Prof.time "repair.certify" (fun () -> Mf_verify.Verify.certificate st.st_chip cert)
+        in
         if Diag.has_errors diags then
           failf ~elapsed:(elapsed ()) "re-certification failed: %s"
             (match Diag.errors diags with
@@ -427,6 +439,7 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
              | [] -> "unknown error")
         else begin
           let exec_before, exec_after =
+            Prof.time "repair.exec" @@ fun () ->
             match app with
             | None -> (None, None)
             | Some app ->
@@ -478,12 +491,15 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
           let round = st.st_round + 1 in
           let ctx = Pressure.context st.st_chip st.st_faults in
           let s, t = terminals st.st_chip st.st_suite in
+          let cache = Vrepair.cache ~present:ctx memo st.st_chip ~s ~t in
           let kept, dropped = drop_damaged ctx st.st_chip st.st_suite in
           let st = { st with st_suite = kept; st_damaged = st.st_damaged + dropped } in
           let report = Vectors.validate ~present:ctx st.st_chip st.st_suite in
           let escaped = escaped_faults report in
           let prove = prover st.st_chip ctx ~s ~t in
-          let untestable, coverable = List.partition prove escaped in
+          let untestable, coverable =
+            Prof.time "repair.prover" (fun () -> List.partition prove escaped)
+          in
           if budget_out then
             (* Out of time: ship the current state if it certifies (every
                residual escape provably untestable), typed failure
@@ -495,18 +511,18 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
                 "wall-clock budget exhausted with %d coverable faults unrepaired"
                 (List.length coverable)
           else begin
-            let cand_lists =
-              Domain_pool.map dpool
-                (fun f -> gen_candidates ctx st.st_chip ~s ~t f)
-                (Array.of_list coverable)
+            (* Each fault's first candidate decides whether the round can
+               cover; only then are the lists completed, from the same
+               sequences past their first elements. *)
+            let firsts =
+              Prof.time "repair.candidates" (fun () ->
+                  Domain_pool.map dpool
+                    (fun f -> Seq.uncons (candidate_seq cache st.st_chip ~s ~t f))
+                    (Array.of_list coverable))
             in
-            let missing =
-              List.filteri (fun i _ -> cand_lists.(i) = []) coverable
-            in
+            let missing = List.filteri (fun i _ -> Option.is_none firsts.(i)) coverable in
             if missing <> [] then begin
               (* fallback ladder: minimal unsharing, then full re-solve *)
-              let src_port = st.st_suite.Vectors.source_port in
-              let dst_port = st.st_suite.Vectors.meter_port in
               let resolve_or_fail () =
                 if st.st_full then
                   failf ~elapsed:(elapsed ())
@@ -514,11 +530,15 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
                     (Format.asprintf "%a" (Fault.pp st.st_chip) (List.hd missing))
                 else
                   rounds
-                    { st with st_suite = full_resolve ctx st.st_chip st.st_suite; st_full = true }
+                    { st with st_suite = full_resolve cache st.st_chip st.st_suite; st_full = true }
               in
               match sharing with
               | Some (aug, scheme) when st.st_unshared = None -> (
-                  match unshare st.st_faults ~missing ~src_port ~dst_port aug scheme with
+                  let s, t = terminals aug st.st_suite in
+                  match
+                    Prof.time "repair.unshare" (fun () ->
+                        unshare memo st.st_faults ~missing ~s ~t aug scheme)
+                  with
                   | Some (chip', dropped_assignments) ->
                     rounds
                       { st with st_chip = chip'; st_unshared = Some dropped_assignments }
@@ -528,6 +548,14 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
             else begin
               let owners = Array.of_list coverable in
               let n_faults = Array.length owners in
+              let cand_lists =
+                Prof.time "repair.candidates" (fun () ->
+                    Domain_pool.map dpool
+                      (function
+                        | Some (first, rest) -> dedup (first :: List.of_seq rest)
+                        | None -> [])
+                      firsts)
+              in
               let cands =
                 Array.of_list (List.concat (Array.to_list cand_lists))
               in
@@ -549,8 +577,8 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
                 List.fold_left
                   (fun (ps, cs) ci ->
                     match cands.(ci) with
-                    | Cpath p -> (p :: ps, cs)
-                    | Ccut c -> (ps, c :: cs))
+                    | Path p -> (p :: ps, cs)
+                    | Cut c -> (ps, c :: cs))
                   ([], []) (List.rev chosen)
               in
               let suite' =
@@ -604,7 +632,9 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
         else begin
           let report' = Vectors.validate ~present:ctx st.st_chip st.st_suite in
           let escaped' = escaped_faults report' in
-          let still_coverable = List.filter (fun f -> not (prove f)) escaped' in
+          let untestable, still_coverable =
+            Prof.time "repair.prover" (fun () -> List.partition prove escaped')
+          in
           if still_coverable <> [] then
             if st.st_full then
               failf ~elapsed:(elapsed ())
@@ -612,8 +642,13 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
                 (List.length still_coverable)
             else
               rounds
-                { st with st_suite = full_resolve ctx st.st_chip st.st_suite; st_full = true }
-          else finish st report' (List.filter prove escaped')
+                {
+                  st with
+                  st_suite = full_resolve (Vrepair.cache ~present:ctx memo st.st_chip ~s ~t)
+                      st.st_chip st.st_suite;
+                  st_full = true;
+                }
+          else finish st report' untestable
         end
       in
       Prof.time "repair.run" (fun () ->

@@ -114,3 +114,27 @@ val repair :
     time: on expiry the engine ships the current state if it certifies
     (recording [Budget_exhausted]) and fails typed otherwise.  [app]
     enables the [exec_before]/[exec_after] makespans. *)
+
+(** {1 Candidates}
+
+    The confirmed repair vectors {!repair} generates for one fault, on the
+    chip and under the context of a {!Mf_testgen.Repair.cache}: the
+    stuck-at-0 paths or stuck-at-1 cuts of {!Mf_testgen.Repair}, and for
+    a stuck-at-1 without any, the max-flow cut forced through the valve
+    ({!Mf_testgen.Cutgen.cover_valve}) when simulation confirms it.  Each
+    candidate is intact on the degraded chip
+    ({!Mf_faults.Pressure.intact}) and detects the fault. *)
+
+type candidate = Path of int list | Cut of int list
+
+val candidate_list :
+  Mf_testgen.Repair.cache -> Mf_arch.Chip.t -> s:int -> t:int -> Mf_faults.Fault.t ->
+  candidate list
+(** Every distinct candidate, in generation order: what a covering round
+    offers the set-cover ILP for this fault. *)
+
+val first_candidate :
+  Mf_testgen.Repair.cache -> Mf_arch.Chip.t -> s:int -> t:int -> Mf_faults.Fault.t ->
+  candidate option
+(** The head of {!candidate_list}, building and simulating nothing past
+    it: whether the fault is repairable at all. *)

@@ -138,47 +138,148 @@ let route_seq chip ?present ~s ~t ~via () =
     (candidate_paths chip ?present ~s ~t ~via ())
     (fun () -> List.to_seq (exact_route chip ?present ~s ~t ~via ()) ())
 
-let routes chip ~s ~t via = List.of_seq (route_seq chip ~s ~t ~via ())
+let routes ?present chip ~s ~t via = List.of_seq (route_seq chip ?present ~s ~t ~via ())
 
-type cache = {
-  routes : int -> int list list;
-  detect : Chip.t -> Vector.t -> Pressure.detection;
+(* ------------------------------------------------------------------ *)
+(* The route memo.  A stream is one route sequence, each element forced at
+   most once: [nth] extends it under the memo's lock, so domains asking for
+   a route wait for one computation instead of repeating it, and a
+   consumer that stops early leaves the rest unforced.  Routes already
+   forced are read without the lock ([forced] only ever grows, replaced
+   whole).  One lock per memo, not per stream: a repair call opens a
+   stream per fault and trial. *)
+
+type stream = {
+  forced : int list list Atomic.t; (* in sequence order; at most 7 routes *)
+  mutable rest : int list Seq.t option; (* under the lock; [None] once exhausted *)
 }
 
-let tried ?present ?cache chip ~s ~t via =
-  match (present, cache) with
-  | None, Some c -> List.to_seq (c.routes via)
-  | Some _, Some _ -> invalid_arg "Repair: ?cache holds fault-free answers; drop it with ?present"
-  | _, None -> route_seq chip ?present ~s ~t ~via ()
+let nth lock stream i =
+  match List.nth_opt (Atomic.get stream.forced) i with
+  | Some r ->
+    Mf_util.Prof.add_count "repair.route_memo_hits" 1;
+    Some r
+  | None ->
+    Mutex.protect lock @@ fun () ->
+    let rec extend () =
+      let forced = Atomic.get stream.forced in
+      if List.length forced > i then Some (List.nth forced i)
+      else
+        match Option.map (fun next -> next ()) stream.rest with
+        | None -> None
+        | Some Seq.Nil ->
+          stream.rest <- None;
+          None
+        | Some (Seq.Cons (r, tl)) ->
+          Mf_util.Prof.add_count "repair.route_memo_misses" 1;
+          Atomic.set stream.forced (forced @ [ r ]);
+          stream.rest <- Some tl;
+          extend ()
+    in
+    extend ()
 
-(* Is [v] well-formed and does it detect [fault]?  Fault-free checks read
-   the vector's detection set, from the cache when there is one. *)
-let confirms ?present ?cache chip v fault =
+(* Routes read a context only through its blocked edges and stuck-open
+   valves, so those two sets name it; per context, one stream per
+   (terminals, via). *)
+type memo = {
+  lock : Mutex.t;
+  contexts : (int list * int list, (int * int * int, stream) Hashtbl.t) Hashtbl.t;
+}
+
+let memo () = { lock = Mutex.create (); contexts = Hashtbl.create 4 }
+
+let context_key = function
+  | None -> ([], [])
+  | Some ctx ->
+    let faults = Pressure.context_faults ctx in
+    let pick f = List.sort_uniq compare (List.filter_map f faults) in
+    ( pick (function Fault.Stuck_at_0 e -> Some e | Fault.Stuck_at_1 _ | Fault.Leak _ -> None),
+      pick (function Fault.Stuck_at_1 v -> Some v | Fault.Stuck_at_0 _ | Fault.Leak _ -> None) )
+
+let memo_routes memo ?present chip ~s ~t =
+  let key = context_key present in
+  let streams =
+    Mutex.protect memo.lock @@ fun () ->
+    match Hashtbl.find_opt memo.contexts key with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.add memo.contexts key tbl;
+      tbl
+  in
+  fun via ->
+    let stream =
+      Mutex.protect memo.lock @@ fun () ->
+      match Hashtbl.find_opt streams (s, t, via) with
+      | Some stream -> stream
+      | None ->
+        let stream =
+          { forced = Atomic.make []; rest = Some (route_seq chip ?present ~s ~t ~via ()) }
+        in
+        Hashtbl.add streams (s, t, via) stream;
+        stream
+    in
+    let rec from i () =
+      match nth memo.lock stream i with None -> Seq.Nil | Some r -> Seq.Cons (r, from (i + 1))
+    in
+    from 0
+
+type cache = {
+  present : Pressure.context option;
+  routes : int -> int list Seq.t;
+  detect : (Chip.t -> Vector.t -> Pressure.detection) option;
+}
+
+let cache ?present memo chip ~s ~t =
+  { present; routes = memo_routes memo ?present chip ~s ~t; detect = None }
+
+let fault_free_cache ~routes ~detect =
+  { present = None; routes = (fun via -> List.to_seq (routes via)); detect = Some detect }
+
+let cache_context c = c.present
+let cache_routes c via = c.routes via
+
+(* The context an entry point answers for: its cache's, which [?present]
+   may restate but not contradict. *)
+let context_of ?present ?cache () =
+  match (present, cache) with
+  | _, None -> present
+  | None, Some c -> c.present
+  | Some p, Some { present = Some q; _ } when p == q -> present
+  | Some _, Some _ -> invalid_arg "Repair: ?cache answers for another fault context"
+
+let tried present cache chip ~s ~t via =
+  match cache with Some c -> c.routes via | None -> route_seq chip ?present ~s ~t ~via ()
+
+(* Is [v] intact on the (degraded) chip and does it detect [fault]?
+   Fault-free checks read the vector's detection set, from the cache when
+   there is one. *)
+let confirms present cache chip v fault =
   match present with
   | Some _ ->
     let p = Pressure.prepare ?present chip v in
-    Pressure.prepared_well_formed p && Pressure.prepared_detects p fault
+    Pressure.prepared_intact p && Pressure.prepared_detects p fault
   | None ->
-    let d = match cache with Some c -> c.detect chip v | None -> Pressure.detect chip v in
+    let d =
+      match Option.bind cache (fun c -> c.detect) with
+      | Some detect -> detect chip v
+      | None -> Pressure.detect chip v
+    in
     d.well_formed && Pressure.detects_in chip d.detected fault
 
-let confirms_sa0 ?present ?cache chip ~s ~t edge path =
-  confirms ?present ?cache chip
-    (Vector.of_path chip ~source:s ~meters:[ t ] path)
-    (Fault.Stuck_at_0 edge)
-
-let candidates_sa0 ?present chip ~s ~t edge =
-  dedup
-    (List.of_seq
-       (Seq.filter (confirms_sa0 ?present chip ~s ~t edge) (tried ?present chip ~s ~t edge)))
-
-let repair_sa0 ?present ?cache chip ~s ~t edge =
-  Seq.find (confirms_sa0 ?present ?cache chip ~s ~t edge) (tried ?present ?cache chip ~s ~t edge)
+let confirmed_sa0 ?present ?cache chip ~s ~t edge =
+  let present = context_of ?present ?cache () in
+  Seq.filter
+    (fun path ->
+      confirms present cache chip
+        (Vector.of_path chip ~source:s ~meters:[ t ] path)
+        (Fault.Stuck_at_0 edge))
+    (tried present cache chip ~s ~t edge)
 
 (* Worst-case stuck-at-1 vector (Sec. 3): close every valve except those on
    one leak path through the defective valve, so pressure at the meter can
    only mean that [v] failed to close. *)
-let confirmed_cut ?present ?cache chip ~s ~t valve_id path =
+let confirmed_cut present cache chip ~s ~t valve_id path =
   let open_valves =
     List.filter_map
       (fun f ->
@@ -191,23 +292,32 @@ let confirmed_cut ?present ?cache chip ~s ~t valve_id path =
     List.init (Chip.n_valves chip) Fun.id |> List.filter (fun w -> not (List.mem w open_valves))
   in
   if
-    confirms ?present ?cache chip
+    confirms present cache chip
       (Vector.of_cut chip ~source:s ~meters:[ t ] cut)
       (Fault.Stuck_at_1 valve_id)
   then Some cut
   else None
 
-let candidates_sa1 ?present chip ~s ~t valve_id =
+let confirmed_sa1 ?present ?cache chip ~s ~t valve_id =
+  let present = context_of ?present ?cache () in
   let via = (Chip.valves chip).(valve_id).edge in
-  dedup
-    (List.of_seq
-       (Seq.filter_map (confirmed_cut ?present chip ~s ~t valve_id) (tried ?present chip ~s ~t via)))
+  Seq.filter_map
+    (confirmed_cut present cache chip ~s ~t valve_id)
+    (tried present cache chip ~s ~t via)
+
+let first seq = Option.map fst (Seq.uncons seq)
+
+let candidates_sa0 ?present ?cache chip ~s ~t edge =
+  dedup (List.of_seq (confirmed_sa0 ?present ?cache chip ~s ~t edge))
+
+let repair_sa0 ?present ?cache chip ~s ~t edge =
+  first (confirmed_sa0 ?present ?cache chip ~s ~t edge)
+
+let candidates_sa1 ?present ?cache chip ~s ~t valve_id =
+  dedup (List.of_seq (confirmed_sa1 ?present ?cache chip ~s ~t valve_id))
 
 let repair_sa1 ?present ?cache chip ~s ~t valve_id =
-  let via = (Chip.valves chip).(valve_id).edge in
-  Seq.find_map
-    (confirmed_cut ?present ?cache chip ~s ~t valve_id)
-    (tried ?present ?cache chip ~s ~t via)
+  first (confirmed_sa1 ?present ?cache chip ~s ~t valve_id)
 
 (* The vectors [run] appends, as a suite of their own. *)
 let additions ?present ?cache chip (suite : Vectors.t) (report : Mf_faults.Coverage.report) =
@@ -229,11 +339,13 @@ let append (suite : Vectors.t) (extra : Vectors.t) =
     cut_valves = suite.cut_valves @ extra.cut_valves;
   }
 
-let run ?present chip suite =
-  append suite (additions ?present chip suite (Vectors.validate ?present chip suite))
+let run ?present ?cache chip suite =
+  let present = context_of ?present ?cache () in
+  append suite (additions ?present ?cache chip suite (Vectors.validate ?present chip suite))
 
 let validate ?present ?cache chip suite =
-  let detect = Option.map (fun c -> c.detect) cache in
+  let present = context_of ?present ?cache () in
+  let detect = Option.bind cache (fun c -> c.detect) in
   let report = Vectors.validate ?present ?detect chip suite in
   if Mf_faults.Coverage.complete report then (suite, report)
   else begin

@@ -19,54 +19,117 @@
     edges and every candidate is confirmed by simulation {e on the degraded
     chip}, which is what the fault-adaptive repair engine needs. *)
 
+(** Fault-free or fault-context answers shared across many repairs of one
+    chip topology.
+
+    {b Routes.}  {!routes} depends on the chip's channels and valve
+    placement, the terminals, [via] and the fault context's blocked edges
+    and stuck-open valves — never on control wiring, so every sharing
+    scheme of one augmented chip has the same routes.  A {!memo} keeps
+    them, per context, as sequences forced at most once and only as far
+    as some consumer read.
+
+    {b Caches.}  A {!cache} answers for one fault context (or for the
+    fault-free chip) and states which: every entry point below that is
+    given [?cache] works under the cache's context.  [?present] may
+    restate that context (the same value) but not contradict it
+    ([Invalid_argument]). *)
+
+type memo
+(** Route sequences keyed by context (blocked edges, stuck-open valves),
+    terminals and [via].  Safe to share across domains: a route is forced
+    once, under the memo's lock.  Every chip it is used with must have
+    the same channels and valve placement; control wiring may differ.
+    Memo reads and extensions count as [repair.route_memo_hits] /
+    [repair.route_memo_misses] under [MFDFT_PROF=1]. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
+type cache
+
+val cache :
+  ?present:Mf_faults.Pressure.context -> memo -> Mf_arch.Chip.t -> s:int -> t:int -> cache
+(** [cache ?present memo chip ~s ~t] answers for context [?present]
+    (fault-free when absent) and terminals [s], [t]: its routes come from
+    [memo], computed on [chip] at the first miss. *)
+
+val fault_free_cache :
+  routes:(int -> int list list) ->
+  detect:(Mf_arch.Chip.t -> Mf_faults.Vector.t -> Mf_faults.Pressure.detection) ->
+  cache
+(** A fault-free cache over answers the caller memoises itself: [routes]
+    gives {!routes} on the caller's chip and terminals as whole lists, and
+    [detect] gives {!Mf_faults.Pressure.detect}, typically memoised under
+    {!Mf_faults.Pressure.detection_key}; its detection sets also answer
+    {!validate}'s measurements.  [Codesign] keeps both per pool entry
+    beside its other tables, where two domains compute a missing answer
+    outside any lock. *)
+
+val cache_context : cache -> Mf_faults.Pressure.context option
+(** The context the cache answers for. *)
+
+val cache_routes : cache -> int -> int list Seq.t
+(** The cache's routes through [via], read from its memo: equal to
+    {!routes} under {!cache_context}, for the cache's chip and terminals. *)
+
+val routes :
+  ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
+(** [routes chip ~s ~t via] is every route from [s] to [t] through channel
+    edge [via] that repair tries, in the order it tries them, avoiding the
+    edges [?present] blocks.  What a {!memo} holds, computed afresh. *)
+
+(** {1 Candidates}
+
+    Per fault kind, one sequence of confirmed candidates, in the order
+    repair tries the routes: a candidate is kept when it is intact on the
+    (degraded) chip ({!Mf_faults.Pressure.intact}) and simulation confirms
+    it detects the fault.  The candidate list is the sequence with repeats
+    dropped, and the repair is its first element: no later candidate is
+    built or simulated. *)
+
+val confirmed_sa0 :
+  ?present:Mf_faults.Pressure.context ->
+  ?cache:cache ->
+  Mf_arch.Chip.t -> s:int -> t:int -> int -> int list Seq.t
+(** Confirmed stuck-at-0 candidates at an edge: paths (edge lists) from
+    source node [s] to meter node [t].  May repeat; deterministic. *)
+
+val confirmed_sa1 :
+  ?present:Mf_faults.Pressure.context ->
+  ?cache:cache ->
+  Mf_arch.Chip.t -> s:int -> t:int -> int -> int list Seq.t
+(** Same for stuck-at-1 at a valve id: confirmed cuts (valve-id lists). *)
+
 val candidates_sa0 :
   ?present:Mf_faults.Pressure.context ->
+  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
-(** [candidates_sa0 chip ~s ~t e] is every distinct candidate path (edge
-    lists, source node [s] to meter node [t]) confirmed by simulation to
-    detect stuck-at-0 at edge [e].  Deterministic; may be empty. *)
+(** Every distinct element of {!confirmed_sa0}.  May be empty. *)
 
 val candidates_sa1 :
   ?present:Mf_faults.Pressure.context ->
+  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
-(** Same for stuck-at-1 at a valve id: every distinct confirmed cut
-    (valve-id lists). *)
-
-val routes : Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
-(** [routes chip ~s ~t via] is every route from [s] to [t] through channel
-    edge [via] that repair tries on the fault-free chip, in the order it
-    tries them.  It depends on the chip's channels and valve placement, the
-    terminals and [via], never on control wiring: every sharing scheme of
-    one augmented chip has the same routes. *)
-
-(** Fault-free answers shared by every sharing scheme of one augmented
-    chip: callers that repair many schemes memoise both per chip and pass
-    them as [?cache]. *)
-type cache = {
-  routes : int -> int list list;  (** {!routes} for the repair's terminals *)
-  detect : Mf_arch.Chip.t -> Mf_faults.Vector.t -> Mf_faults.Pressure.detection;
-      (** {!Mf_faults.Pressure.detect}, typically memoised under
-          {!Mf_faults.Pressure.detection_key} *)
-}
+(** Every distinct element of {!confirmed_sa1}. *)
 
 val repair_sa0 :
   ?present:Mf_faults.Pressure.context ->
   ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
-(** First confirmed candidate of {!candidates_sa0}, if any; no later
-    candidate is built or simulated.  [?cache] supplies the routes and
-    the candidates' detection sets; it holds the fault-free chip's
-    answers, so it cannot go with [?present] ([Invalid_argument]). *)
+(** The first element of {!confirmed_sa0}, if any: the head of
+    {!candidates_sa0}. *)
 
 val repair_sa1 :
   ?present:Mf_faults.Pressure.context ->
   ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list option
-(** First confirmed candidate of {!candidates_sa1}, if any, with
-    [?cache] as in {!repair_sa0}. *)
+(** The first element of {!confirmed_sa1}, if any. *)
 
 val run :
-  ?present:Mf_faults.Pressure.context -> Mf_arch.Chip.t -> Vectors.t -> Vectors.t
+  ?present:Mf_faults.Pressure.context ->
+  ?cache:cache ->
+  Mf_arch.Chip.t -> Vectors.t -> Vectors.t
 (** [run chip suite] returns the suite extended with repair vectors.  The
     result is not guaranteed complete (genuinely untestable faults remain
     uncovered); {!validate} repairs and reports coverage in one pass. *)
@@ -79,5 +142,5 @@ val validate :
     repairs it with {!run} and re-measures only the appended vectors
     ({!Mf_faults.Coverage.extend}).  It returns the suite (repaired when
     escapes were found) and the report {!Vectors.validate} gives on it.
-    [?cache] as in {!repair_sa0}; its detection sets also answer both
+    The cache's detection sets, when it has them, also answer both
     measurements. *)

@@ -435,14 +435,12 @@ let memo_is_exact ~detections:memo_detections ~schemes f index =
     in
     let routes = Hashtbl.create 16 and detections = Hashtbl.create 64 in
     let cache =
-      {
-        Repair.routes = (fun via -> remember routes via (fun () -> Repair.routes aug ~s ~t via));
-        detect =
-          (fun chip v ->
-            if memo_detections then
-              remember detections (Pressure.detection_key chip v) (fun () -> Pressure.detect chip v)
-            else Pressure.detect chip v);
-      }
+      Repair.fault_free_cache
+        ~routes:(fun via -> remember routes via (fun () -> Repair.routes aug ~s ~t via))
+        ~detect:(fun chip v ->
+          if memo_detections then
+            remember detections (Pressure.detection_key chip v) (fun () -> Pressure.detect chip v)
+          else Pressure.detect chip v)
     in
     List.for_all
       (fun scheme ->
@@ -451,6 +449,85 @@ let memo_is_exact ~detections:memo_detections ~schemes f index =
         || QCheck.Test.fail_reportf "%s: verdict under %a differs with the memo" (Chip.name chip)
              Sharing.pp scheme)
       (List.init schemes (fun _ -> Sharing.random rng aug))
+
+(* ------------------------------------------------------------------ *)
+(* P13: the repair engine's existence check is its full list's head —
+   [Reconfig.first_candidate], read through one route memo reused across
+   random sharing schemes and fault contexts, is the head of
+   [Reconfig.candidate_list] built from a fresh memo, for sampled
+   stuck-at-0/1 faults, on the fault-free chip and under a random fault
+   context.  So "the first confirmed candidate exists" is "the full
+   candidate list is non-empty" *)
+
+let first_candidate_is_head f index =
+  let chip, _ = case f index in
+  match greedy_suite chip with
+  | None -> QCheck.assume_fail ()
+  | Some (aug, suite) ->
+    let rng = Rng.create ~seed:(case_seed (family_salt f) index + 73) in
+    let s, t = terminals aug suite in
+    let channels = Array.of_list (Bitset.elements (Chip.channel_edges aug)) in
+    let sample n = List.init (min 4 n) (fun _ -> Rng.int rng n) in
+    let faults =
+      List.map (fun i -> Fault.Stuck_at_0 channels.(i)) (sample (Array.length channels))
+      @ List.map (fun v -> Fault.Stuck_at_1 v) (sample (Chip.n_valves aug))
+    in
+    let head = function [] -> None | x :: _ -> Some x in
+    let memo = Repair.memo () in
+    List.for_all
+      (fun present ->
+        List.for_all
+          (fun scheme ->
+            let shared = Sharing.apply aug scheme in
+            let memoised = Repair.cache ?present memo shared ~s ~t in
+            let fresh = Repair.cache ?present (Repair.memo ()) shared ~s ~t in
+            List.for_all
+              (fun fault ->
+                Reconfig.first_candidate memoised shared ~s ~t fault
+                = head (Reconfig.candidate_list fresh shared ~s ~t fault)
+                || QCheck.Test.fail_reportf "%s: first candidate of %a under %a" (Chip.name chip)
+                     (Fault.pp aug) fault Sharing.pp scheme)
+              faults)
+          (List.init 3 (fun _ -> Sharing.random rng aug)))
+      [ None; random_context aug rng ]
+
+(* ------------------------------------------------------------------ *)
+(* P14: a route memo under a fault context is exact — routes read from
+   one memo across random sharing schemes and three contexts (none and two
+   random ones), each first read partway (a random prefix, as a repair
+   that stops at its first confirmed candidate reads), equal the routes
+   [Repair.routes] computes afresh on each rewired chip under the same
+   context *)
+
+let context_memo_is_exact f index =
+  let chip, _ = case f index in
+  match greedy_suite chip with
+  | None -> QCheck.assume_fail ()
+  | Some (aug, suite) ->
+    let rng = Rng.create ~seed:(case_seed (family_salt f) index + 79) in
+    let s, t = terminals aug suite in
+    let channels = Array.of_list (Bitset.elements (Chip.channel_edges aug)) in
+    let n = Array.length channels in
+    let vias = List.init (min 4 n) (fun _ -> channels.(Rng.int rng n)) in
+    let memo = Repair.memo () in
+    List.for_all
+      (fun present ->
+        List.for_all
+          (fun scheme ->
+            let shared = Sharing.apply aug scheme in
+            let cache = Repair.cache ?present memo shared ~s ~t in
+            List.for_all
+              (fun via ->
+                let prefix = Rng.int rng 3 in
+                let partial = List.of_seq (Seq.take prefix (Repair.cache_routes cache via)) in
+                let fresh = Repair.routes ?present shared ~s ~t via in
+                (partial = List.filteri (fun i _ -> i < prefix) fresh
+                && List.of_seq (Repair.cache_routes cache via) = fresh)
+                || QCheck.Test.fail_reportf "%s: memoised routes through edge %d under %a"
+                     (Chip.name chip) via Sharing.pp scheme)
+              vias)
+          (List.init 4 (fun _ -> Sharing.random rng aug)))
+      [ None; random_context aug rng; random_context aug rng ]
 
 (* ------------------------------------------------------------------ *)
 (* P12: the one-pass detection set is the reference — on random path,
@@ -496,6 +573,10 @@ let family_suite f =
       prop ~name:(n ^ " memo verdicts = fresh verdicts") ~count:shortcut_count f
         (memo_is_exact ~detections:true ~schemes:6);
       prop ~name:(n ^ " detection set = detects") ~count:prepared_count f detection_is_exact;
+      prop ~name:(n ^ " first candidate = list head") ~count:shortcut_count f
+        first_candidate_is_head;
+      prop ~name:(n ^ " context route memo = fresh") ~count:shortcut_count f
+        context_memo_is_exact;
     ] )
 
 let () =

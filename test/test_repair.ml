@@ -291,6 +291,122 @@ let test_cert_bogus_waiver_rejected () =
     check Alcotest.bool "tampered waiver list is rejected" true (n_err > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Field-repair outcome pins.  The deployed ivd_chip x ivd and ra30_chip x
+   ivd designs (quick codesign, as the field_repair benchmark deploys
+   them) are repaired against every single stuck-at-0/1 valve fault, a
+   fixed sample of the pairs (every eighth, in enumeration order; about
+   half of them go through unsharing), and every pair listed by tag
+   below.  Each line of field_repair_pins.txt names a repair by design
+   and enumeration index, restates its faults, tags it and pins a digest
+   of its outcome: suite, waivers, context, makespans, degradations,
+   control wiring, round/damage/candidate counts and coverage, or the
+   failure reason.  Tags:
+   - [ok]: repaired, and the result re-certifies with zero errors;
+   - [mf101]: once failed re-certification because a kept path vector
+     crossed an edge the fault context blocks; must now repair and
+     re-certify with zero errors;
+   - [fail]: neither repairable nor provably untestable (the open half of
+     the zero-failure goal); the pinned reason must not change. *)
+
+let deployed =
+  let tbl = Hashtbl.create 2 in
+  fun chip_name ->
+    match Hashtbl.find_opt tbl chip_name with
+    | Some d -> d
+    | None ->
+      let chip = Option.get (Benchmarks.by_name chip_name) in
+      let app = Option.get (Assays.by_name "ivd") in
+      let d =
+        match Mfdft.Codesign.run ~params:Mfdft.Codesign.quick_params chip app with
+        | Ok r -> (app, r)
+        | Error f -> Alcotest.fail (Fail.to_string f)
+      in
+      Hashtbl.add tbl chip_name d;
+      d
+
+(* Singles first (stuck-at-0 then stuck-at-1 per valve), then every
+   unordered pair of them. *)
+let fault_sets chip =
+  let singles =
+    Array.to_list (Chip.valves chip)
+    |> List.concat_map (fun v -> [ Fault.Stuck_at_0 v.Chip.edge; Fault.Stuck_at_1 v.Chip.valve_id ])
+  in
+  let rec pairs = function [] -> [] | f :: rest -> List.map (fun g -> [ f; g ]) rest @ pairs rest in
+  Array.of_list (List.map (fun f -> [ f ]) singles @ pairs singles)
+
+let fault_label = function
+  | Fault.Stuck_at_0 e -> Printf.sprintf "sa0:%d" e
+  | Fault.Stuck_at_1 v -> Printf.sprintf "sa1:%d" v
+  | Fault.Leak v -> Printf.sprintf "leak:%d" v
+
+let outcome_digest (res : (Reconfig.result, Fail.t) result) =
+  let body =
+    match res with
+    | Error f -> Marshal.to_string ("error", f.Fail.reason) [ Marshal.No_sharing ]
+    | Ok r ->
+      let st = r.Reconfig.stats and cov = r.Reconfig.coverage in
+      Marshal.to_string
+        ( ( r.Reconfig.suite.Vectors.path_edges,
+            r.Reconfig.suite.Vectors.cut_valves,
+            r.Reconfig.untestable,
+            r.Reconfig.faults ),
+          (r.Reconfig.exec_before, r.Reconfig.exec_after, r.Reconfig.degradations),
+          Array.map (fun (v : Chip.valve) -> v.Chip.control) (Chip.valves r.Reconfig.chip),
+          ( st.Reconfig.rounds,
+            st.Reconfig.damaged,
+            st.Reconfig.reused,
+            st.Reconfig.added,
+            st.Reconfig.candidates ),
+          (cov.Coverage.detected, cov.Coverage.total_faults, cov.Coverage.malformed) )
+        [ Marshal.No_sharing ]
+  in
+  Digest.to_hex (Digest.string body)
+
+let pins =
+  lazy
+    (let file =
+       List.find Sys.file_exists [ "field_repair_pins.txt"; "test/field_repair_pins.txt" ]
+     in
+     In_channel.with_open_text file In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+     |> List.map (fun l ->
+            match String.split_on_char ' ' l with
+            | [ design; index; faults; tag; digest ] ->
+              (design, int_of_string index, faults, tag, digest)
+            | _ -> Alcotest.failf "malformed pin line %S" l))
+
+(* Replays the pins tagged [tags] at [jobs] domains; every [stride]-th
+   selected pin only. *)
+let replay_pins ?(jobs = 1) ?(stride = 1) tags () =
+  let selected =
+    List.filteri (fun i _ -> i mod stride = 0)
+      (List.filter (fun (_, _, _, tag, _) -> List.mem tag tags) (Lazy.force pins))
+  in
+  check Alcotest.bool "pins selected" true (selected <> []);
+  List.iter
+    (fun (design, index, labels, tag, digest) ->
+      let app, (r : Mfdft.Codesign.result) = deployed design in
+      let faults = (fault_sets r.shared).(index) in
+      let where = Printf.sprintf "%s #%d [%s]" design index labels in
+      check Alcotest.string (where ^ ": faults") labels
+        (String.concat "," (List.map fault_label faults));
+      let res =
+        Reconfig.repair ~params:{ Reconfig.default_params with Reconfig.jobs } ~app
+          ~sharing:(r.augmented, r.sharing) r.shared r.suite faults
+      in
+      (match (tag, res) with
+       | ("ok" | "mf101"), Ok rr ->
+         let n_err, _ =
+           Diag.count (Mf_verify.Verify.certificate rr.Reconfig.chip rr.Reconfig.cert)
+         in
+         check Alcotest.int (where ^ ": certifier errors") 0 n_err
+       | ("ok" | "mf101"), Error f -> Alcotest.failf "%s: %s" where (Fail.to_string f)
+       | _, _ -> ());
+      check Alcotest.string (where ^ ": outcome digest") digest (outcome_digest res))
+    selected
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Mf_util.Chaos.neutralise ();
@@ -315,5 +431,12 @@ let () =
         [
           Alcotest.test_case "context round-trip" `Quick test_cert_context_roundtrip;
           Alcotest.test_case "bogus waiver rejected" `Quick test_cert_bogus_waiver_rejected;
+        ] );
+      ( "field repair",
+        [
+          Alcotest.test_case "outcome digests pinned" `Slow (replay_pins [ "ok"; "fail" ]);
+          Alcotest.test_case "MF101 slice re-certifies" `Slow (replay_pins [ "mf101" ]);
+          Alcotest.test_case "jobs=4 = pinned digests" `Slow
+            (replay_pins ~jobs:4 ~stride:5 [ "ok"; "mf101"; "fail" ]);
         ] );
     ]
