@@ -40,8 +40,9 @@ type memo
     terminals and [via].  Safe to share across domains: a route is forced
     once, under the memo's lock.  Every chip it is used with must have
     the same channels and valve placement; control wiring may differ.
-    Memo reads and extensions count as [repair.route_memo_hits] /
-    [repair.route_memo_misses] under [MFDFT_PROF=1]. *)
+    Under [MFDFT_PROF=1], reads of routes already forced count as
+    [repair.route_memo_hits] and routes computed as
+    [repair.route_memo_misses]. *)
 
 val memo : unit -> memo
 (** An empty memo. *)
