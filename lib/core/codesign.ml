@@ -85,19 +85,19 @@ let invalid_threshold = 1e5
 (* The fitness memo table, shared across the whole run and consulted from
    worker domains during batch evaluation.  A mutex guards the tables; the
    memoised function is deterministic, so two workers racing on the same
-   miss both compute the same value and [replace] keeps the table
-   single-valued — the cache affects work, never results.
+   miss both compute the same value and the table keeps the first — the
+   cache affects work, never results.
 
    [tbl] holds the fitness values (it is what checkpoints persist and
    [worst_cached_valid] scans); [preps] caches the per-configuration
    {!Prep.t} topology snapshot, and [routes] and [detections] the
-   per-configuration repair routes ({!Mf_testgen.Repair.routes}, keyed by
-   [via]) and detection sets ({!Mf_faults.Pressure.detect}, keyed by
+   per-configuration repair route memo ({!Mf_testgen.Repair.memo}) and
+   detection sets ({!Mf_faults.Pressure.detect}, keyed by
    {!Mf_faults.Pressure.detection_key}), purely to save work. *)
 type cache = {
   tbl : ((int list * Sharing.t), float) Hashtbl.t;
   preps : (int list, Prep.t) Hashtbl.t;
-  routes : (int list * int, int list list) Hashtbl.t;
+  routes : (int list, Mf_testgen.Repair.memo) Hashtbl.t;
   detections : (int list * string, Mf_faults.Pressure.detection) Hashtbl.t;
   lock : Mutex.t;
 }
@@ -106,7 +106,7 @@ let cache_create () =
   {
     tbl = Hashtbl.create 64;
     preps = Hashtbl.create 8;
-    routes = Hashtbl.create 64;
+    routes = Hashtbl.create 8;
     detections = Hashtbl.create 1024;
     lock = Mutex.create ();
   }
@@ -136,8 +136,8 @@ let cache_dump cache =
 
 let cache_restore cache items = Array.iter (fun (k, v) -> Hashtbl.replace cache.tbl k v) items
 
-(* Built outside the lock: racing workers build identical values and
-   [replace] keeps one. *)
+(* Built outside the lock: racing workers build identical values, the
+   table keeps the first and every worker returns it. *)
 let memo cache tbl key build =
   Mutex.lock cache.lock;
   let hit = Hashtbl.find_opt tbl key in
@@ -146,10 +146,12 @@ let memo cache tbl key build =
   | Some v -> v
   | None ->
     let v = build () in
-    Mutex.lock cache.lock;
-    Hashtbl.replace tbl key v;
-    Mutex.unlock cache.lock;
-    v
+    Mutex.protect cache.lock @@ fun () ->
+    match Hashtbl.find_opt tbl key with
+    | Some first -> first
+    | None ->
+      Hashtbl.add tbl key v;
+      v
 
 let prep_of cache (entry : Pool.entry) =
   memo cache cache.preps entry.Pool.config.Pathgen.added_edges (fun () ->
@@ -177,14 +179,13 @@ let testable_suite cache (entry : Pool.entry) scheme =
   let lookups = ref 0 and misses = ref 0 in
   let memo_cache =
     Mf_testgen.Repair.fault_free_cache
-      ~routes:(fun via ->
-        memo cache cache.routes (added, via) (fun () ->
-            Mf_testgen.Repair.routes entry.Pool.augmented ~s ~t via))
       ~detect:(fun chip v ->
         incr lookups;
         memo cache cache.detections (added, Mf_faults.Pressure.detection_key chip v) (fun () ->
             incr misses;
             Mf_faults.Pressure.detect chip v))
+      (memo cache cache.routes added Mf_testgen.Repair.memo)
+      entry.Pool.augmented ~s ~t
   in
   let suite, report = Mf_testgen.Repair.validate ~cache:memo_cache shared suite in
   Mf_util.Prof.add_count "faults.memo_hits" (!lookups - !misses);

@@ -203,18 +203,11 @@ let candidate_seq cache chip ~s ~t fault : candidate Seq.t =
             | Some _ | None -> Seq.Nil))
   | Fault.Leak _ -> Seq.empty
 
-let dedup lists =
-  let rec go seen = function
-    | [] -> []
-    | x :: rest -> if List.mem x seen then go seen rest else x :: go (x :: seen) rest
-  in
-  go [] lists
+let first_candidate cache chip ~s ~t fault = Seq.uncons (candidate_seq cache chip ~s ~t fault)
 
-let candidate_list cache chip ~s ~t fault =
-  dedup (List.of_seq (candidate_seq cache chip ~s ~t fault))
-
-let first_candidate cache chip ~s ~t fault =
-  Option.map fst (Seq.uncons (candidate_seq cache chip ~s ~t fault))
+let candidate_list = function
+  | Some (first, rest) -> Vrepair.dedup (first :: List.of_seq rest)
+  | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Cover selection: the fewest candidate vectors detecting every escaped
@@ -292,7 +285,7 @@ let full_resolve cache chip (kept : Vectors.t) =
   in
   let cuts = List.filter usable cg.Cutgen.cuts in
   let seeded =
-    { kept with Vectors.cut_valves = dedup (kept.Vectors.cut_valves @ cuts) }
+    { kept with Vectors.cut_valves = Vrepair.dedup (kept.Vectors.cut_valves @ cuts) }
   in
   Vrepair.run ~cache chip seeded
 
@@ -517,7 +510,7 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
             let firsts =
               Prof.time "repair.candidates" (fun () ->
                   Domain_pool.map dpool
-                    (fun f -> Seq.uncons (candidate_seq cache st.st_chip ~s ~t f))
+                    (first_candidate cache st.st_chip ~s ~t)
                     (Array.of_list coverable))
             in
             let missing = List.filteri (fun i _ -> Option.is_none firsts.(i)) coverable in
@@ -550,11 +543,7 @@ let repair ?(params = default_params) ?budget ?checkpoint ?app ?sharing ?more_fa
               let n_faults = Array.length owners in
               let cand_lists =
                 Prof.time "repair.candidates" (fun () ->
-                    Domain_pool.map dpool
-                      (function
-                        | Some (first, rest) -> dedup (first :: List.of_seq rest)
-                        | None -> [])
-                      firsts)
+                    Domain_pool.map dpool candidate_list firsts)
               in
               let cands =
                 Array.of_list (List.concat (Array.to_list cand_lists))

@@ -127,14 +127,14 @@ val repair :
 
 type candidate = Path of int list | Cut of int list
 
-val candidate_list :
-  Mf_testgen.Repair.cache -> Mf_arch.Chip.t -> s:int -> t:int -> Mf_faults.Fault.t ->
-  candidate list
-(** Every distinct candidate, in generation order: what a covering round
-    offers the set-cover ILP for this fault. *)
-
 val first_candidate :
   Mf_testgen.Repair.cache -> Mf_arch.Chip.t -> s:int -> t:int -> Mf_faults.Fault.t ->
-  candidate option
-(** The head of {!candidate_list}, building and simulating nothing past
-    it: whether the fault is repairable at all. *)
+  (candidate * candidate Seq.t) option
+(** The fault's first candidate, if it has any, with the rest of its
+    candidate sequence unforced: whether the fault is repairable at all,
+    building and simulating nothing past the first candidate. *)
+
+val candidate_list : (candidate * candidate Seq.t) option -> candidate list
+(** Every distinct candidate of a {!first_candidate} answer, in generation
+    order, the later ones built from its unforced rest: what a covering
+    round offers the set-cover ILP for the fault. *)

@@ -84,19 +84,21 @@ let bridge_path_through chip ?present ~s ~t ~via ~weight () =
     match try_orientation (a, b) with Some p -> Some p | None -> try_orientation (b, a)
   end
 
-(* The six detour attempts, in order; attempt [i] draws its noise only
-   when forced, so a consumer that stops early never draws the rest.  The
-   rng is created per traversal, so every traversal yields one sequence. *)
+(* The six detour attempts, in order.  Attempt [i] draws its noise from a
+   copy of the generator as attempt [i - 1] left it, so the sequence is
+   persistent: forcing one node twice gives one route, and a consumer
+   that stops early never draws the rest. *)
 let candidate_paths chip ?present ~s ~t ~via () : int list Seq.t =
  fun () ->
   let g = Grid.graph (Chip.grid chip) in
   let ne = Graph.n_edges g in
-  let rng = Rng.create ~seed:(31 + via) in
   (* riding along always-conducting edges is free of masking risk (they are
      live either way), so bias the detour search toward them *)
   let discount f = if always_conducting chip present f then 0.125 else 1. in
-  Seq.filter_map
-    (fun attempt ->
+  let rec from attempt rng () =
+    if attempt = 6 then Seq.Nil
+    else begin
+      let rng = Rng.copy rng in
       let weight =
         if attempt = 0 then discount
         else begin
@@ -104,8 +106,13 @@ let candidate_paths chip ?present ~s ~t ~via () : int list Seq.t =
           fun f -> discount f *. (1. +. noise.(f))
         end
       in
-      bridge_path_through chip ?present ~s ~t ~via ~weight ())
-    (Seq.init 6 Fun.id) ()
+      let rest = from (attempt + 1) rng in
+      match bridge_path_through chip ?present ~s ~t ~via ~weight () with
+      | Some p -> Seq.Cons (p, rest)
+      | None -> rest ()
+    end
+  in
+  from 0 (Rng.create ~seed:(31 + via)) ()
 
 let dedup lists =
   let rec go seen = function
@@ -141,46 +148,40 @@ let route_seq chip ?present ~s ~t ~via () =
 let routes ?present chip ~s ~t via = List.of_seq (route_seq chip ?present ~s ~t ~via ())
 
 (* ------------------------------------------------------------------ *)
-(* The route memo.  A stream is one route sequence, each element forced at
-   most once: [nth] extends it under the memo's lock, so domains asking for
-   a route wait for one computation instead of repeating it, and a
-   consumer that stops early leaves the rest unforced.  Routes already
-   forced are read without the lock ([forced] only ever grows, replaced
-   whole).  One lock per memo, not per stream: a repair call opens a
-   stream per fault and trial. *)
+(* The route memo.  A stream is one route sequence whose steps are forced
+   at most as far as some consumer read.  A missing step is computed
+   outside any lock and published with a compare-and-set: route sequences
+   are persistent, so two domains racing on one step compute equal steps
+   and the loser reads the winner's.  No domain waits for another's
+   computation. *)
 
-type stream = {
-  forced : int list list Atomic.t; (* in sequence order; at most 7 routes *)
-  mutable rest : int list Seq.t option; (* under the lock; [None] once exhausted *)
-}
+type stream = step Atomic.t
+and step = Pending of int list Seq.t | Last | Route of int list * stream
 
-let nth lock stream i =
-  match List.nth_opt (Atomic.get stream.forced) i with
-  | Some r ->
-    Mf_util.Prof.add_count "repair.route_memo_hits" 1;
-    Some r
-  | None ->
-    Mutex.protect lock @@ fun () ->
-    let rec extend () =
-      let forced = Atomic.get stream.forced in
-      if List.length forced > i then Some (List.nth forced i)
-      else
-        match Option.map (fun next -> next ()) stream.rest with
-        | None -> None
-        | Some Seq.Nil ->
-          stream.rest <- None;
-          None
-        | Some (Seq.Cons (r, tl)) ->
-          Mf_util.Prof.add_count "repair.route_memo_misses" 1;
-          Atomic.set stream.forced (forced @ [ r ]);
-          stream.rest <- Some tl;
-          extend ()
+let rec stream_seq stream () =
+  let view = function
+    | Route (r, rest) -> Seq.Cons (r, stream_seq rest)
+    | Last | Pending _ -> Seq.Nil
+  in
+  match Atomic.get stream with
+  | Pending routes as pending ->
+    let step =
+      match routes () with
+      | Seq.Nil -> Last
+      | Seq.Cons (r, rest) ->
+        Mf_util.Prof.add_count "repair.route_memo_misses" 1;
+        Route (r, Atomic.make (Pending rest))
     in
-    extend ()
+    (* a lost race leaves the winner's step, never [Pending] *)
+    view (if Atomic.compare_and_set stream pending step then step else Atomic.get stream)
+  | Route _ as step ->
+    Mf_util.Prof.add_count "repair.route_memo_hits" 1;
+    view step
+  | Last -> Seq.Nil
 
 (* Routes read a context only through its blocked edges and stuck-open
    valves, so those two sets name it; per context, one stream per
-   (terminals, via). *)
+   (terminals, via).  The lock guards the tables only. *)
 type memo = {
   lock : Mutex.t;
   contexts : (int list * int list, (int * int * int, stream) Hashtbl.t) Hashtbl.t;
@@ -196,33 +197,23 @@ let context_key = function
     ( pick (function Fault.Stuck_at_0 e -> Some e | Fault.Stuck_at_1 _ | Fault.Leak _ -> None),
       pick (function Fault.Stuck_at_1 v -> Some v | Fault.Stuck_at_0 _ | Fault.Leak _ -> None) )
 
+let find_or_add lock tbl key make =
+  Mutex.protect lock @@ fun () ->
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = make () in
+    Hashtbl.add tbl key v;
+    v
+
 let memo_routes memo ?present chip ~s ~t =
-  let key = context_key present in
   let streams =
-    Mutex.protect memo.lock @@ fun () ->
-    match Hashtbl.find_opt memo.contexts key with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 16 in
-      Hashtbl.add memo.contexts key tbl;
-      tbl
+    find_or_add memo.lock memo.contexts (context_key present) (fun () -> Hashtbl.create 16)
   in
   fun via ->
-    let stream =
-      Mutex.protect memo.lock @@ fun () ->
-      match Hashtbl.find_opt streams (s, t, via) with
-      | Some stream -> stream
-      | None ->
-        let stream =
-          { forced = Atomic.make []; rest = Some (route_seq chip ?present ~s ~t ~via ()) }
-        in
-        Hashtbl.add streams (s, t, via) stream;
-        stream
-    in
-    let rec from i () =
-      match nth memo.lock stream i with None -> Seq.Nil | Some r -> Seq.Cons (r, from (i + 1))
-    in
-    from 0
+    stream_seq
+      (find_or_add memo.lock streams (s, t, via) (fun () ->
+           Atomic.make (Pending (route_seq chip ?present ~s ~t ~via ()))))
 
 type cache = {
   present : Pressure.context option;
@@ -233,8 +224,8 @@ type cache = {
 let cache ?present memo chip ~s ~t =
   { present; routes = memo_routes memo ?present chip ~s ~t; detect = None }
 
-let fault_free_cache ~routes ~detect =
-  { present = None; routes = (fun via -> List.to_seq (routes via)); detect = Some detect }
+let fault_free_cache ~detect memo chip ~s ~t =
+  { present = None; routes = memo_routes memo chip ~s ~t; detect = Some detect }
 
 let cache_context c = c.present
 let cache_routes c via = c.routes via
@@ -307,14 +298,14 @@ let confirmed_sa1 ?present ?cache chip ~s ~t valve_id =
 
 let first seq = Option.map fst (Seq.uncons seq)
 
-let candidates_sa0 ?present ?cache chip ~s ~t edge =
-  dedup (List.of_seq (confirmed_sa0 ?present ?cache chip ~s ~t edge))
+let candidates_sa0 ?present chip ~s ~t edge =
+  dedup (List.of_seq (confirmed_sa0 ?present chip ~s ~t edge))
 
 let repair_sa0 ?present ?cache chip ~s ~t edge =
   first (confirmed_sa0 ?present ?cache chip ~s ~t edge)
 
-let candidates_sa1 ?present ?cache chip ~s ~t valve_id =
-  dedup (List.of_seq (confirmed_sa1 ?present ?cache chip ~s ~t valve_id))
+let candidates_sa1 ?present chip ~s ~t valve_id =
+  dedup (List.of_seq (confirmed_sa1 ?present chip ~s ~t valve_id))
 
 let repair_sa1 ?present ?cache chip ~s ~t valve_id =
   first (confirmed_sa1 ?present ?cache chip ~s ~t valve_id)

@@ -37,10 +37,13 @@
 
 type memo
 (** Route sequences keyed by context (blocked edges, stuck-open valves),
-    terminals and [via].  Safe to share across domains: a route is forced
-    once, under the memo's lock.  Every chip it is used with must have
-    the same channels and valve placement; control wiring may differ.
-    Under [MFDFT_PROF=1], reads of routes already forced count as
+    terminals and [via].  Safe to share across domains: a missing route
+    is computed outside any lock and published with a compare-and-set,
+    so a domain never waits for another's computation, and two domains
+    racing on one route compute it twice and keep one (routes are
+    deterministic).  Every chip it is used with must have the same
+    channels and valve placement; control wiring may differ.  Under
+    [MFDFT_PROF=1], reads of routes already published count as
     [repair.route_memo_hits] and routes computed as
     [repair.route_memo_misses]. *)
 
@@ -56,16 +59,14 @@ val cache :
     [memo], computed on [chip] at the first miss. *)
 
 val fault_free_cache :
-  routes:(int -> int list list) ->
   detect:(Mf_arch.Chip.t -> Mf_faults.Vector.t -> Mf_faults.Pressure.detection) ->
-  cache
-(** A fault-free cache over answers the caller memoises itself: [routes]
-    gives {!routes} on the caller's chip and terminals as whole lists, and
-    [detect] gives {!Mf_faults.Pressure.detect}, typically memoised under
-    {!Mf_faults.Pressure.detection_key}; its detection sets also answer
-    {!validate}'s measurements.  [Codesign] keeps both per pool entry
-    beside its other tables, where two domains compute a missing answer
-    outside any lock. *)
+  memo -> Mf_arch.Chip.t -> s:int -> t:int -> cache
+(** [fault_free_cache ~detect memo chip ~s ~t] is [cache memo chip ~s ~t]
+    whose fault-free detection sets come from [detect]: it gives
+    {!Mf_faults.Pressure.detect}, typically memoised under
+    {!Mf_faults.Pressure.detection_key}, and also answers {!validate}'s
+    measurements.  [Codesign] keeps one memo per pool entry, and the
+    detection sets beside its other tables. *)
 
 val cache_context : cache -> Mf_faults.Pressure.context option
 (** The context the cache answers for. *)
@@ -104,15 +105,17 @@ val confirmed_sa1 :
 
 val candidates_sa0 :
   ?present:Mf_faults.Pressure.context ->
-  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
 (** Every distinct element of {!confirmed_sa0}.  May be empty. *)
 
 val candidates_sa1 :
   ?present:Mf_faults.Pressure.context ->
-  ?cache:cache ->
   Mf_arch.Chip.t -> s:int -> t:int -> int -> int list list
 (** Every distinct element of {!confirmed_sa1}. *)
+
+val dedup : 'a list -> 'a list
+(** The list with repeats dropped, first occurrences in order: how a
+    candidate list drops repeats. *)
 
 val repair_sa0 :
   ?present:Mf_faults.Pressure.context ->

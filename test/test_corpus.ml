@@ -433,14 +433,14 @@ let memo_is_exact ~detections:memo_detections ~schemes f index =
         Hashtbl.add tbl key r;
         r
     in
-    let routes = Hashtbl.create 16 and detections = Hashtbl.create 64 in
+    let detections = Hashtbl.create 64 in
     let cache =
       Repair.fault_free_cache
-        ~routes:(fun via -> remember routes via (fun () -> Repair.routes aug ~s ~t via))
         ~detect:(fun chip v ->
           if memo_detections then
             remember detections (Pressure.detection_key chip v) (fun () -> Pressure.detect chip v)
           else Pressure.detect chip v)
+        (Repair.memo ()) aug ~s ~t
     in
     List.for_all
       (fun scheme ->
@@ -483,8 +483,9 @@ let first_candidate_is_head f index =
             let fresh = Repair.cache ?present (Repair.memo ()) shared ~s ~t in
             List.for_all
               (fun fault ->
-                Reconfig.first_candidate memoised shared ~s ~t fault
-                = head (Reconfig.candidate_list fresh shared ~s ~t fault)
+                Option.map fst (Reconfig.first_candidate memoised shared ~s ~t fault)
+                = head
+                    (Reconfig.candidate_list (Reconfig.first_candidate fresh shared ~s ~t fault))
                 || QCheck.Test.fail_reportf "%s: first candidate of %a under %a" (Chip.name chip)
                      (Fault.pp aug) fault Sharing.pp scheme)
               faults)

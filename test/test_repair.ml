@@ -407,6 +407,45 @@ let replay_pins ?(jobs = 1) ?(stride = 1) tags () =
     selected
 
 (* ------------------------------------------------------------------ *)
+(* One route memo read by two domains at once, which meet at a barrier
+   before each edge so that they race on its missing routes, holds the
+   routes a fresh computation gives: a race publishes one of two equal
+   answers. *)
+
+let test_route_memo_across_domains () =
+  let aug, suite = baseline "ra30_chip" in
+  let ports = Chip.ports aug in
+  let s = ports.(suite.Vectors.source_port).Chip.node
+  and t = ports.(suite.Vectors.meter_port).Chip.node in
+  let vias = Mf_util.Bitset.elements (Chip.channel_edges aug) in
+  let present =
+    Mf_faults.Pressure.context aug
+      (Fault.Stuck_at_0 (Chip.valves aug).(0).Chip.edge :: inject ~seed:5 ~count:2 aug)
+  in
+  let memo = Mf_testgen.Repair.memo () in
+  let arrived = Atomic.make 0 in
+  let read () =
+    let cache = Mf_testgen.Repair.cache ~present memo aug ~s ~t in
+    List.mapi
+      (fun k via ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 * (k + 1) do
+          Domain.cpu_relax ()
+        done;
+        (via, List.of_seq (Mf_testgen.Repair.cache_routes cache via)))
+      vias
+  in
+  let racers = List.init 2 (fun _ -> Domain.spawn read) in
+  List.iter
+    (fun (via, got) ->
+      check
+        Alcotest.(list (list int))
+        (Printf.sprintf "routes through %d" via)
+        (Mf_testgen.Repair.routes ~present aug ~s ~t via)
+        got)
+    (List.concat_map Domain.join racers)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Mf_util.Chaos.neutralise ();
@@ -416,6 +455,7 @@ let () =
         [
           Alcotest.test_case "single fault re-certifies" `Quick test_repair_recertifies;
           Alcotest.test_case "jobs=1 = jobs=4" `Slow test_repair_jobs_invariant;
+          Alcotest.test_case "route memo across domains" `Quick test_route_memo_across_domains;
         ] );
       ( "checkpoint",
         [
